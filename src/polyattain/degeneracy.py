@@ -29,9 +29,20 @@ class DegeneracyVerdict:
     start: BoundaryPoint | None = None  # BLC start for BlcEarlyStop
 
 
+class WitnessError(Exception):
+    """A degeneracy witness failed certification; indicates a bug."""
+
+
 def certify_witness(P: Polygon, Pp: Polygon, w: Polygon) -> bool:
     """The three machine checks: fits under P, covers Pp, fewer vertices."""
     return co_contains(P, w) and co_contains(w, Pp) and w.n < P.n
+
+
+def _certified(P: Polygon, Pp: Polygon, w: Polygon) -> Polygon:
+    """The witness w once it passes certify_witness; WitnessError otherwise."""
+    if not certify_witness(P, Pp, w):
+        raise WitnessError(f"witness {w!r} fails certification")
+    return w
 
 
 def _segment_extremes(points: list[Point]) -> tuple[Point, Point]:
@@ -80,13 +91,11 @@ def is_degenerate(P: Polygon, Pp: Polygon) -> DegeneracyVerdict:
         else:
             a, b = hull[0], hull[-1]
             witness = Polygon((a, b, b))
-        assert certify_witness(P, Pp, witness)
-        return DegeneracyVerdict(True, witness, NOT_SET_CONVEX_OUTER)
+        return DegeneracyVerdict(True, _certified(P, Pp, witness), NOT_SET_CONVEX_OUTER)
     if Pp.is_collinear:
         if n == 3:
             return DegeneracyVerdict(True, None, COLLINEAR_INNER)
-        witness = _collinear_witness(P, Pp)
-        assert certify_witness(P, Pp, witness)
+        witness = _certified(P, Pp, _collinear_witness(P, Pp))
         return DegeneracyVerdict(True, witness, COLLINEAR_INNER)
     if n == 3:
         return DegeneracyVerdict(False, None, NO_GOOD_TEST_POINT)
@@ -97,8 +106,7 @@ def is_degenerate(P: Polygon, Pp: Polygon) -> DegeneracyVerdict:
     for start in test_points(Pc, Pp):
         res = blc(Pc, Pp, start)
         if res.l < n:
-            witness = Polygon(tuple(b.realize() for b in res.points))
-            assert certify_witness(P, Pp, witness)
+            witness = _certified(P, Pp, Polygon(tuple(b.realize() for b in res.points)))
             return DegeneracyVerdict(True, witness, BLC_EARLY_STOP, start)
     return DegeneracyVerdict(False, None, NO_GOOD_TEST_POINT)
 
@@ -139,9 +147,9 @@ def maximal_degenerate_extend(Q: Polygon, P: Polygon) -> Polygon:
     for k in range(1, n - 1):
         if on_boundary(pts[k]):
             continue
-        pts[k] = _push_landing(P, pts[0], pts[k])
+        pts[k] = push_landing(P, pts[0], pts[k])
     if not on_boundary(pts[0]):
-        pts[0] = _push_landing(P, pts[1], pts[0])
+        pts[0] = push_landing(P, pts[1], pts[0])
 
     # Merge edge-sharers onto vertices of P; split vertex double points.
     while True:
@@ -156,7 +164,7 @@ def maximal_degenerate_extend(Q: Polygon, P: Polygon) -> Polygon:
                 continue
             k = strays[0]
             mate = next(m for m in here if m != k)
-            pts[k] = _edge_push_target(a, b, pts[mate], pts[k])
+            pts[k] = edge_push_target(a, b, pts[mate], pts[k])
             moved = True
             break
         if moved:
@@ -183,7 +191,7 @@ def maximal_degenerate_extend(Q: Polygon, P: Polygon) -> Polygon:
     return result
 
 
-def _push_landing(P: Polygon, pusher: Point, mover: Point) -> Point:
+def push_landing(P: Polygon, pusher: Point, mover: Point) -> Point:
     """Boundary landing of a push-out; a coincident pair pushes toward the
     first vertex of P that breaks the tie."""
     if pusher != mover:
@@ -194,7 +202,7 @@ def _push_landing(P: Polygon, pusher: Point, mover: Point) -> Point:
     raise AssertionError("outer polygon collapsed to a point")
 
 
-def _edge_push_target(a: Point, b: Point, pusher: Point, mover: Point) -> Point:
+def edge_push_target(a: Point, b: Point, pusher: Point, mover: Point) -> Point:
     """Endpoint of [a, b] a stray mover is pushed to by a mate on the same
     edge: away from the pusher, and counterclockwise-first on a tie."""
     if pusher == mover:

@@ -1,7 +1,9 @@
 """Exact rational planar kernel: points, lines, rays, perspectivities.
 
 Every predicate and construction here is exact; all scalars are
-``fractions.Fraction`` and no tolerances exist anywhere.
+``fractions.Fraction`` and no tolerances exist anywhere.  The hot
+predicates ``orient`` and ``forward_sign`` work on numerators and
+denominators as plain integers, so they build no Fraction and take no gcd.
 """
 
 from __future__ import annotations
@@ -9,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-
-from .kernels import dot_sign, orient_sign
 
 Rat = Fraction
 
@@ -57,22 +57,32 @@ def dot(u: Point, v: Point) -> Rat:
 def orient(a: Point, b: Point, c: Point) -> int:
     """Sign of the determinant |b-a, c-a|: +1 if c is strictly left of the
     directed line through a and b, 0 if collinear, -1 if strictly right."""
-    ax, ay, bx, by, cx, cy = a.x, a.y, b.x, b.y, c.x, c.y
-    return orient_sign(
-        ax.numerator, ax.denominator, ay.numerator, ay.denominator,
-        bx.numerator, bx.denominator, by.numerator, by.denominator,
-        cx.numerator, cx.denominator, cy.numerator, cy.denominator,
-    )
+    axn, axd, ayn, ayd = a.x.numerator, a.x.denominator, a.y.numerator, a.y.denominator
+    bxn, bxd, byn, byd = b.x.numerator, b.x.denominator, b.y.numerator, b.y.denominator
+    cxn, cxd, cyn, cyd = c.x.numerator, c.x.denominator, c.y.numerator, c.y.denominator
+    # With positive denominators: (b-a).x = p1/(bxd*axd), (c-a).y = p2/(cyd*ayd),
+    # (b-a).y = p3/(byd*ayd), (c-a).x = p4/(cxd*axd).
+    p1 = bxn * axd - axn * bxd
+    p2 = cyn * ayd - ayn * cyd
+    p3 = byn * ayd - ayn * byd
+    p4 = cxn * axd - axn * cxd
+    # The determinant times the positive bxd*byd*cxd*cyd*axd*ayd.
+    d = p1 * p2 * byd * cxd - p3 * p4 * bxd * cyd
+    return (d > 0) - (d < 0)
 
 
 def forward_sign(a: Point, b: Point, c: Point) -> int:
     """Sign of (b-a).(c-a); positive when c is on b's side of a."""
-    ax, ay, bx, by, cx, cy = a.x, a.y, b.x, b.y, c.x, c.y
-    return dot_sign(
-        ax.numerator, ax.denominator, ay.numerator, ay.denominator,
-        bx.numerator, bx.denominator, by.numerator, by.denominator,
-        cx.numerator, cx.denominator, cy.numerator, cy.denominator,
-    )
+    axn, axd, ayn, ayd = a.x.numerator, a.x.denominator, a.y.numerator, a.y.denominator
+    bxn, bxd, byn, byd = b.x.numerator, b.x.denominator, b.y.numerator, b.y.denominator
+    cxn, cxd, cyn, cyd = c.x.numerator, c.x.denominator, c.y.numerator, c.y.denominator
+    p1 = bxn * axd - axn * bxd  # the same differences as in orient
+    p2 = cyn * ayd - ayn * cyd
+    p3 = byn * ayd - ayn * byd
+    p4 = cxn * axd - axn * cxd
+    # The dot product times the positive bxd*cxd*axd^2 * byd*cyd*ayd^2.
+    d = p1 * p4 * byd * ayd * cyd * ayd + p3 * p2 * bxd * axd * cxd * axd
+    return (d > 0) - (d < 0)
 
 
 def convex_hull(points: list[Point]) -> list[Point]:

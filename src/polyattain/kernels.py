@@ -1,26 +1,7 @@
-"""Kernel backend selection.
+"""Name of the exact kernel.
 
-The compiled extension is preferred; ``POLYATTAIN_PURE_PYTHON=1`` or a
-missing build select the pure-Python twin.  Both expose the same functions
-with identical exact semantics.
+The predicates are plain integer arithmetic in ``geometry``; there is one
+backend.  Benchmark records carry this name so runs stay comparable.
 """
 
-import os
-
-if os.environ.get("POLYATTAIN_PURE_PYTHON") == "1":
-    from polyattain import _core_py as _impl
-
-    BACKEND = "python"
-else:
-    try:
-        from polyattain import _core as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from polyattain import _core_py as _impl
-
-        BACKEND = "python"
-
-orient_sign = _impl.orient_sign
-dot_sign = _impl.dot_sign
-frac_cmp = _impl.frac_cmp
+BACKEND = "python"

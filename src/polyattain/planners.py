@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .degeneracy import maximal_degenerate_extend
-from .geometry import Point, Rat, segment_contains, segment_param
+from .degeneracy import edge_push_target, maximal_degenerate_extend, push_landing
+from .geometry import Point, segment_contains, segment_param
 from .moves import (
     MoveScript,
     PullIn,
@@ -22,7 +22,6 @@ from .moves import (
     verify_script,
 )
 from .polygon import (
-    BoundaryPoint,
     Polygon,
     canonicalize_ccw,
     co_contains,
@@ -92,25 +91,6 @@ class _PushRecorder:
         return MoveScript(self.current, tuple(moves))
 
 
-def _push_landing(Q: Polygon, pusher: Point, mover: Point) -> Point:
-    if pusher != mover:
-        return ray_polygon_exit(Q, pusher, mover - pusher).realize()
-    for v in Q.vertices:
-        if v != mover:
-            return ray_polygon_exit(Q, mover, v - mover).realize()
-    raise PlannerError("boundary polygon collapsed to a point")
-
-
-def _edge_landing(a: Point, b: Point, pusher: Point, mover: Point) -> Point:
-    """Vertex of the edge [a, b] a stray is pushed to: away from its mate,
-    counterclockwise-first on a coincident tie."""
-    if pusher == mover:
-        return b
-    ta, tm = segment_param(a, b, pusher), segment_param(a, b, mover)
-    assert ta is not None and tm is not None
-    return b if ta <= tm else a
-
-
 def _inscribe_onto(rec: _PushRecorder, Q: Polygon) -> None:
     """Push every vertex onto the boundary of Q: vertex 0 pushes the others,
     then is pushed out itself by vertex 1."""
@@ -119,10 +99,10 @@ def _inscribe_onto(rec: _PushRecorder, Q: Polygon) -> None:
         cur = rec.current
         if Q.locate_boundary(cur.vertices[k]) is not None:
             continue
-        rec.push(k, 0, _push_landing(Q, cur.vertices[0], cur.vertices[k]))
+        rec.push(k, 0, push_landing(Q, cur.vertices[0], cur.vertices[k]))
     cur = rec.current
     if Q.locate_boundary(cur.vertices[0]) is None:
-        rec.push(0, 1, _push_landing(Q, cur.vertices[1], cur.vertices[0]))
+        rec.push(0, 1, push_landing(Q, cur.vertices[1], cur.vertices[0]))
 
 
 def _sweep_to_vertices(rec: _PushRecorder, Q: Polygon) -> None:
@@ -160,7 +140,7 @@ def _sweep_to_vertices(rec: _PushRecorder, Q: Polygon) -> None:
                 break
         if move:
             k, mate, a, b = move
-            rec.push(k, mate, _edge_landing(a, b, cur[mate], cur[k]))
+            rec.push(k, mate, edge_push_target(a, b, cur[mate], cur[k]))
             continue
         # Every stray is stranded: use a double point at a vertex of Q.
         doubled = None
@@ -207,7 +187,7 @@ def _sweep_occupy_all(rec: _PushRecorder, P: Polygon) -> None:
         if move is None:
             raise PlannerError("occupancy sweep is stuck with stranded strays")
         k, mate, a, b = move
-        rec.push(k, mate, _edge_landing(a, b, rec.current.vertices[mate], rec.current.vertices[k]))
+        rec.push(k, mate, edge_push_target(a, b, rec.current.vertices[mate], rec.current.vertices[k]))
     cur = rec.current.vertices
     if sorted(cur) != sorted(P.vertices):
         raise PlannerError("occupancy sweep did not reach every vertex")
@@ -350,12 +330,6 @@ def _plan_degenerate_convex(P: Polygon, Pp: Polygon, witness: Polygon) -> MoveSc
     return MoveScript(P, moves)
 
 
-def _line_param(base: Point, d: Point, q: Point) -> Rat:
-    if d.x != 0:
-        return (q.x - base.x) / d.x
-    return (q.y - base.y) / d.y
-
-
 def _plan_segment(P: Polygon, Pp: Polygon) -> MoveScript:
     """Outer hull is a point or segment: a one-dimensional plan.
 
@@ -384,8 +358,7 @@ def _plan_segment(P: Polygon, Pp: Polygon) -> MoveScript:
             raise PlannerError("containment violated in point-hull plan")
         return MoveScript(P, tuple())
     base, top = hull[0], hull[-1]
-    d = top - base
-    t = lambda q: _line_param(base, d, q)
+    t = lambda q: segment_param(base, top, q)
 
     def pin(k: int) -> None:
         """Move slot k straight to its target across the bracketed hull."""

@@ -121,22 +121,6 @@ def co_contains(outer: Polygon, inner: Polygon) -> bool:
     return True
 
 
-def is_set_convex(P: Polygon) -> bool:
-    return P.is_set_convex
-
-
-def is_convex_ccw(P: Polygon) -> bool:
-    return P.is_convex_ccw
-
-
-def collinear(P: Polygon) -> bool:
-    return P.is_collinear
-
-
-def area(P: Polygon) -> Rat:
-    return P.area()
-
-
 def canonicalize_ccw(P: Polygon) -> tuple[Polygon, tuple[int, ...]] | None:
     """Re-index a set-convex polygon into convex CCW order.
 

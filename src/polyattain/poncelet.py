@@ -11,6 +11,7 @@ from .polygon import (
     BoundaryPoint,
     Polygon,
     boundary_key,
+    co_contains,
     in_arc,
     ray_polygon_exit,
 )
@@ -227,8 +228,8 @@ def gamma_sets(P: Polygon, Pp: Polygon) -> JunctureSets:
     empty with gamma2_complete False.
     """
     g1 = gamma1_points(P, Pp)
-    interior = all(
-        P.locate_boundary(v) is None and co_point_in(P, v) for v in Pp.vertices
+    interior = co_contains(P, Pp) and all(
+        P.locate_boundary(v) is None for v in Pp.vertices
     )
     g2: set[BoundaryPoint] = set()
     if interior:
@@ -242,15 +243,3 @@ def gamma_sets(P: Polygon, Pp: Polygon) -> JunctureSets:
     gamma = _arc_sorted(P, verts | set(g1) | g2)
     return JunctureSets(g1, frozenset(g2), gamma, interior)
 
-
-def co_point_in(P: Polygon, q: Point) -> bool:
-    """q in co(P), boundary included."""
-    hull = P.hull
-    if len(hull) == 1:
-        return q == hull[0]
-    if len(hull) == 2:
-        from .geometry import segment_contains
-
-        return segment_contains(hull[0], hull[1], q)
-    m = len(hull)
-    return all(orient(hull[k], hull[(k + 1) % m], q) >= 0 for k in range(m))

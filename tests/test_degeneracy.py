@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
+
+import polyattain
 
 from polyattain.degeneracy import (
     BLC_EARLY_STOP,
@@ -167,3 +174,34 @@ def test_maximal_degenerate_hulls_agree():
             assert convex_hull(list(Q.vertices)) == convex_hull(list(v2.witness.vertices)) or \
                 co_contains(Q, v2.witness) and co_contains(v2.witness, Q)
         checked += 1
+
+
+def test_witness_check_survives_optimize_flag():
+    """With certify_witness patched to fail, every degenerate branch raises
+    WitnessError even under `python -O`, where assert statements vanish."""
+    child = textwrap.dedent("""
+        from polyattain import degeneracy
+        from polyattain.polygon import polygon
+
+        assert not __debug__
+        degeneracy.certify_witness = lambda P, Pp, w: False
+        square = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        cases = [
+            (square, polygon([("1/4", "1/4"), ("1/2", "1/4"), ("1/2", "1/2"), ("1/4", "1/2")])),
+            (square, polygon([("1/4", "1/4"), ("1/2", "1/2"), ("3/4", "3/4"), ("1/4", "1/4")])),
+            (polygon([(0, 0), (1, 0), (2, 0), (0, 1)]),
+             polygon([("1/4", "1/4"), ("1/2", "1/4"), ("1/2", "1/2"), ("1/4", "1/2")])),
+        ]
+        for P, Pp in cases:
+            try:
+                degeneracy.is_degenerate(P, Pp)
+            except degeneracy.WitnessError:
+                print("raised")
+            else:
+                print("accepted")
+    """)
+    src = os.path.dirname(os.path.dirname(polyattain.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", child], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["raised"] * 3

@@ -10,6 +10,9 @@ from polyattain.geometry import (
     Perspectivity,
     Point,
     convex_hull,
+    cross,
+    dot,
+    forward_sign,
     orient,
     persp_classify,
     persp_eval,
@@ -41,6 +44,34 @@ def test_orient_examples():
 @given(points, points, points)
 def test_orient_antisymmetric(a, b, c):
     assert orient(a, b, c) == -orient(b, a, c)
+
+
+wide_rats = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40)) | rats
+wide_points = st.builds(Point, wide_rats, wide_rats)
+
+
+@st.composite
+def triples(draw):
+    """Three points a, b, c with c = a + s(b-a) + u(b-a)^perp.
+
+    s and u are often 0, 1 or 1e-40 in size, so collinear, perpendicular,
+    coincident and nearly degenerate triples all come up.
+    """
+    a, b = draw(wide_points), draw(wide_points)
+    if draw(st.integers(0, 4)) == 0:
+        b = a
+    coef = st.sampled_from([0, 1, Fraction(1, 10**40), Fraction(-1, 10**40)]) | wide_rats
+    s, u, d = draw(coef), draw(coef), b - a
+    c = a + d.scale(s) + Point(-d.y, d.x).scale(u)
+    return draw(st.permutations([a, b, c]))
+
+
+@given(triples())
+def test_predicates_match_fraction_oracle(abc):
+    a, b, c = abc
+    sign = lambda v: (v > 0) - (v < 0)
+    assert orient(a, b, c) == sign(cross(b - a, c - a))
+    assert forward_sign(a, b, c) == sign(dot(b - a, c - a))
 
 
 def test_convex_hull_examples():

@@ -7,14 +7,10 @@ from polyattain.polygon import (
     BoundaryPoint,
     Polygon,
     arc_cmp,
-    area,
     boundary_key,
     canonicalize_ccw,
     co_contains,
-    collinear,
     in_arc,
-    is_convex_ccw,
-    is_set_convex,
     polygon,
     ray_polygon_exit,
 )
@@ -55,30 +51,30 @@ def test_canonicalize_output_is_always_ccw():
         out = canonicalize_ccw(P)
         assert out is not None
         Q, sigma = out
-        assert is_convex_ccw(Q)
+        assert Q.is_convex_ccw
         assert sorted(sigma) == list(range(n))
         assert all(Q.vertices[k] == P.vertices[sigma[k]] for k in range(n))
 
 
 def test_is_set_convex(square):
-    assert is_set_convex(square)
-    assert not is_set_convex(polygon([(0, 0), (1, 0), (2, 0), (0, 1)]))
-    assert not is_set_convex(polygon([(0, 0), (1, 0), (1, 0), (0, 1)]))
+    assert square.is_set_convex
+    assert not polygon([(0, 0), (1, 0), (2, 0), (0, 1)]).is_set_convex
+    assert not polygon([(0, 0), (1, 0), (1, 0), (0, 1)]).is_set_convex
 
 
 def test_is_convex_ccw(square):
-    assert is_convex_ccw(square)
-    assert not is_convex_ccw(Polygon(tuple(reversed(square.vertices))))
-    assert not is_convex_ccw(polygon([(0, 0), (1, 1), (1, 0), (0, 1)]))  # bowtie
+    assert square.is_convex_ccw
+    assert not Polygon(tuple(reversed(square.vertices))).is_convex_ccw
+    assert not polygon([(0, 0), (1, 1), (1, 0), (0, 1)]).is_convex_ccw  # bowtie
 
 
 def test_is_convex_ccw_rejects_star_order():
     # all consecutive turns are left turns, but the path is not simple
     pent = polygon([(0, 10), (-9, 3), (-6, -8), (6, -8), (9, 3)])
-    assert is_convex_ccw(pent)
+    assert pent.is_convex_ccw
     star = Polygon(tuple(pent.vertices[k] for k in (0, 2, 4, 1, 3)))
-    assert is_set_convex(star)
-    assert not is_convex_ccw(star)
+    assert star.is_set_convex
+    assert not star.is_convex_ccw
 
 
 def test_canonicalize_ccw(square):
@@ -86,7 +82,7 @@ def test_canonicalize_ccw(square):
     out = canonicalize_ccw(shuffled)
     assert out is not None
     Q, sigma = out
-    assert is_convex_ccw(Q)
+    assert Q.is_convex_ccw
     assert all(Q.vertices[k] == shuffled.vertices[sigma[k]] for k in range(4))
     same = canonicalize_ccw(square)
     assert same is not None and same[0] == square and same[1] == (0, 1, 2, 3)
@@ -94,15 +90,15 @@ def test_canonicalize_ccw(square):
 
 
 def test_area(square, inner_square):
-    assert area(square) == 1
-    assert area(inner_square) == Fraction(1, 4)
-    assert area(polygon([(0, 0), (1, 0), (0, 1)])) == Fraction(1, 2)
+    assert square.area() == 1
+    assert inner_square.area() == Fraction(1, 4)
+    assert polygon([(0, 0), (1, 0), (0, 1)]).area() == Fraction(1, 2)
 
 
 def test_collinear():
-    assert collinear(polygon([(0, 0), (1, 1), (2, 2), (3, 3)]))
-    assert not collinear(polygon([("1/4", "1/4"), ("3/4", "1/4"), ("3/4", "3/4"), ("1/4", "3/4")]))
-    assert collinear(polygon([(1, 1), (1, 1), (1, 1)]))
+    assert polygon([(0, 0), (1, 1), (2, 2), (3, 3)]).is_collinear
+    assert not polygon([("1/4", "1/4"), ("3/4", "1/4"), ("3/4", "3/4"), ("1/4", "3/4")]).is_collinear
+    assert polygon([(1, 1), (1, 1), (1, 1)]).is_collinear
 
 
 def test_boundary_point_canonical(square):
