@@ -6,8 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .degeneracy import is_degenerate
-from .moves import PullIn, PushOut
-from .planners import PlanOutcome, plan_degenerate, plan_threshold, plan_vestibule
+from .moves import PushOut, relabel
+from .planners import PlanOutcome, finish_plan, plan_degenerate, plan_threshold, plan_vestibule
 from .polygon import BoundaryPoint, Polygon, canonicalize_ccw, co_contains, in_arc, ray_polygon_exit
 from .poncelet import BlcResult, blc
 
@@ -134,19 +134,6 @@ def vestibule_test(
     return None, tuple(audit)
 
 
-def _map_plan_indices(plan: PlanOutcome, sigma: tuple[int, ...], P: Polygon, Pp: Polygon) -> PlanOutcome:
-    """Rename canonical-frame slots back to the original indexing."""
-    from .moves import MoveScript, verify_script
-    from .planners import PlannerError
-
-    moves = tuple(PullIn(sigma[m.mover], sigma[m.target], m.c) for m in plan.script.moves)
-    script = MoveScript(P, moves)
-    rep = verify_script(script, Pp)
-    if not rep.ok:
-        raise PlannerError(f"index mapping broke the plan: {rep.failure}")
-    return PlanOutcome(script, plan.bound_class, rep.states)
-
-
 def decide(P: Polygon, Pp: Polygon, plan_moves: bool = False) -> Verdict:
     """Attainability of Pp from P by a decreasing path.
 
@@ -176,7 +163,7 @@ def decide(P: Polygon, Pp: Polygon, plan_moves: bool = False) -> Verdict:
                 pushed = Ppc.replace(found.vertex, found.pushout.landing)
                 tplan = plan_threshold(Pc, pushed, found.vertex, found.cert)
                 plan = plan_vestibule(Pc, Ppc, found.pushout, tplan)
-            plan = _map_plan_indices(plan, sigma, P, Pp)
+            plan = finish_plan(relabel(plan.script, P, sigma), Pp, plan.bound_class)
         return Verdict(ATTAINABLE_VESTIBULE, found, plan, audit)
     if P.n == 3:
         return Verdict(UNKNOWN_N3, None, None, audit)

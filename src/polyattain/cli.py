@@ -8,7 +8,6 @@ failed verification or an unplannable request, 2 for malformed input.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from .geometry import Point, Rat, orient, segment_contains, segment_param
 from .polygon import (
     BoundaryPoint,
+    InvariantError,
     Polygon,
     boundary_key,
     canonicalize_ccw,
@@ -180,14 +181,16 @@ def maximal_degenerate_extend(Q: Polygon, P: Polygon) -> Polygon:
         pts[occupants[doubled[0]][0]] = free
 
     out = Polygon(tuple(pts))
-    assert _is_maximal_degenerate(out, P)
+    if not _is_maximal_degenerate(out, P):
+        raise InvariantError(f"{out!r} is not maximal degenerate in {P!r}")
     anchor = BoundaryPoint(P, 0, Rat(0))
     order = sorted(
         range(n - 1),
         key=lambda k: boundary_key(anchor, P.locate_boundary(pts[k])),
     )
     result = Polygon(tuple(pts[k] for k in order))
-    assert result.is_convex_ccw and co_contains(P, result) and co_contains(result, Q)
+    if not (result.is_convex_ccw and co_contains(P, result) and co_contains(result, Q)):
+        raise InvariantError(f"{result!r} is not convex CCW between {Q!r} and {P!r}")
     return result
 
 

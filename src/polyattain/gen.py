@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import accumulate
+from math import gcd
 
 from .geometry import Point, Rat
 from .moves import MoveScript, PullIn, apply_pullin
@@ -18,22 +21,39 @@ from .polygon import Polygon
 MODES = ("random", "scripted", "degenerate")
 
 
-def random_convex_polygon(rng: random.Random, n: int, spread: int = 12, den: int = 4) -> Polygon:
-    """Convex CCW n-gon: the hull of random rational points, resampled until
-    it has exactly n vertices."""
-    from .geometry import convex_hull
+def random_convex_polygon(rng: random.Random, n: int) -> Polygon:
+    """Convex CCW n-gon with small integer coordinates, built directly.
 
-    while True:
-        pts = [
-            Point(
-                Fraction(rng.randint(-spread, spread), rng.randint(1, den)),
-                Fraction(rng.randint(-spread, spread), rng.randint(1, den)),
-            )
-            for _ in range(3 * n)
-        ]
-        hull = convex_hull(pts)
-        if len(hull) == n:
-            return Polygon(tuple(hull))
+    The edges are multiples of n distinct primitive directions summing to
+    zero, walked in angular order from the lowest leftmost vertex.  n-1 are
+    random; the closing one is kept new by stretching an edge d_j not
+    parallel to their sum s: the sums s + k*d_j lie on a line missing the
+    origin, so their directions differ and some k < n leaves it unused.
+    """
+    r = 2 + n // 8
+    pool = [(a, b) for a in range(-r, r + 1) for b in range(-r, r + 1) if gcd(a, b) == 1]
+    dirs = rng.sample(pool, n - 1)
+    if n == 3 and dirs[0] == (-dirs[1][0], -dirs[1][1]):
+        dirs[1] = (-dirs[1][1], dirs[1][0])  # opposite edges close no triangle
+    lens = [rng.randint(1, 3) for _ in dirs]
+    sx = sum(m * a for m, (a, _) in zip(lens, dirs))
+    sy = sum(m * b for m, (_, b) in zip(lens, dirs))
+    if sx == sy == 0:
+        lens[0] += 1
+        sx, sy = dirs[0]
+    j = next(j for j, (a, b) in enumerate(dirs) if a * sy != b * sx)
+    a, b = dirs[j]
+    for k in range(n):
+        cx, cy = sx + k * a, sy + k * b
+        g = gcd(cx, cy)
+        if (-cx // g, -cy // g) not in dirs:
+            break
+    lens[j] += k
+    edges = [(m * a, m * b) for m, (a, b) in zip(lens, dirs)] + [(-cx, -cy)]
+    right = lambda v: v[0] > 0 or (v[0] == 0 and v[1] > 0)
+    edges.sort(key=cmp_to_key(lambda u, v: right(v) - right(u) or u[1] * v[0] - u[0] * v[1]))
+    verts = accumulate(edges[:-1], lambda p, e: (p[0] + e[0], p[1] + e[1]), initial=(0, 0))
+    return Polygon(tuple(Point(Rat(x), Rat(y)) for x, y in verts))
 
 
 def random_convex_combination(rng: random.Random, P: Polygon, den: int = 8) -> Point:

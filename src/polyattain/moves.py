@@ -48,6 +48,11 @@ class MoveScript:
         return len(self.moves)
 
 
+def relabel(s: MoveScript, start: Polygon, perm: tuple[int, ...]) -> MoveScript:
+    """The moves of s with slot k renamed perm[k], played from start."""
+    return MoveScript(start, tuple(PullIn(perm[m.mover], perm[m.target], m.c) for m in s.moves))
+
+
 def apply_pullin(Q: Polygon, m: PullIn) -> Polygon:
     if not 0 <= m.mover < Q.n or not 0 <= m.target < Q.n:
         raise IndexError("move index out of range")

@@ -11,7 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .degeneracy import edge_push_target, maximal_degenerate_extend, push_landing
+from .degeneracy import (
+    certify_witness,
+    edge_push_target,
+    maximal_degenerate_extend,
+    push_landing,
+)
 from .geometry import Point, segment_contains, segment_param
 from .moves import (
     MoveScript,
@@ -19,12 +24,14 @@ from .moves import (
     PushOut,
     apply_pushout,
     invert_pushout,
+    relabel,
     verify_script,
 )
 from .polygon import (
     Polygon,
     canonicalize_ccw,
-    co_contains,
+    mirror_point,
+    mirrored,
     ray_polygon_exit,
 )
 
@@ -52,7 +59,9 @@ class PlanOutcome:
     intermediates: tuple[Polygon, ...]
 
 
-def _finish(script: MoveScript, target: Polygon, bound_class: str) -> PlanOutcome:
+def finish_plan(script: MoveScript, target: Polygon, bound_class: str) -> PlanOutcome:
+    """The outcome of a script once it reaches target within its bound;
+    PlannerError otherwise."""
     rep = verify_script(script, target)
     if not rep.ok:
         raise PlannerError(f"planned script failed verification: {rep.failure}")
@@ -325,9 +334,7 @@ def _plan_degenerate_convex(P: Polygon, Pp: Polygon, witness: Polygon) -> MoveSc
         rec.push(phi[m.mover], phi[m.pusher], m.landing)
     if rec.current != Pc:
         raise PlannerError("set-convex plan did not land on the start polygon")
-    script_c = rec.to_script()
-    moves = tuple(PullIn(sigma[m.mover], sigma[m.target], m.c) for m in script_c.moves)
-    return MoveScript(P, moves)
+    return relabel(rec.to_script(), P, sigma)
 
 
 def _plan_segment(P: Polygon, Pp: Polygon) -> MoveScript:
@@ -466,9 +473,7 @@ def _plan_triangle(P: Polygon, Pp: Polygon) -> MoveScript:
 def plan_degenerate(P: Polygon, Pp: Polygon, witness: Polygon | None) -> PlanOutcome:
     """Script of fewer than 5n pull-ins reaching a degenerately contained
     polygon, following the constructive cases of the bound."""
-    if witness is not None and not (
-        co_contains(P, witness) and co_contains(witness, Pp) and witness.n < P.n
-    ):
+    if witness is not None and not certify_witness(P, Pp, witness):
         raise ValueError("witness fails certification")
     if len(P.hull) <= 2:
         script = _plan_segment(P, Pp)
@@ -480,10 +485,10 @@ def plan_degenerate(P: Polygon, Pp: Polygon, witness: Polygon | None) -> PlanOut
         if witness is None:
             raise ValueError("set-convex case needs a certified witness")
         script = _plan_degenerate_convex(P, Pp, witness)
-    return _finish(script, Pp, DEGENERATE_LT_5N)
+    return finish_plan(script, Pp, DEGENERATE_LT_5N)
 
 
-def _plan_threshold_ccw(P: Polygon, Pp: Polygon, i: int, xs: list[Point]) -> _PushRecorder:
+def _plan_threshold_ccw(P: Polygon, Pp: Polygon, i: int, xs: list[Point]) -> MoveScript:
     """Push-out chain of the threshold construction, counterclockwise case:
     successive vertices go out onto the broken-line points, the boundary
     vertex goes out to its own corner, and the occupancy sweep finishes."""
@@ -495,7 +500,7 @@ def _plan_threshold_ccw(P: Polygon, Pp: Polygon, i: int, xs: list[Point]) -> _Pu
     _sweep_occupy_all(rec, P)
     if rec.current != P:
         raise PlannerError("threshold plan did not land on the start polygon")
-    return rec
+    return rec.to_script()
 
 
 def plan_threshold(P: Polygon, Pp: Polygon, i: int, cert) -> PlanOutcome:
@@ -505,22 +510,15 @@ def plan_threshold(P: Polygon, Pp: Polygon, i: int, cert) -> PlanOutcome:
     BlcResult (its direction selects the case, the clockwise one planned in
     the mirrored frame)."""
     if Pp == P:
-        return _finish(MoveScript(P, tuple()), Pp, THRESHOLD_2N_MINUS_1)
-    n = P.n
-    xs = [b.realize() for b in cert.points]
+        return finish_plan(MoveScript(P, tuple()), Pp, THRESHOLD_2N_MINUS_1)
     if cert.direction == "ccw":
-        rec = _plan_threshold_ccw(P, Pp, i, xs)
-        return _finish(rec.to_script(), Pp, THRESHOLD_2N_MINUS_1)
-    # Clockwise case: reflect across the x-axis and reverse slot order.
-    refl = lambda p: Point(p.x, -p.y)
-    remap = lambda k: n - 1 - k
-    Pt = Polygon(tuple(refl(v) for v in reversed(P.vertices)))
-    Ppt = Polygon(tuple(refl(v) for v in reversed(Pp.vertices)))
-    xst = [refl(q) for q in xs]
-    rec = _plan_threshold_ccw(Pt, Ppt, remap(i), xst)
-    script_t = rec.to_script()
-    moves = tuple(PullIn(remap(m.mover), remap(m.target), m.c) for m in script_t.moves)
-    return _finish(MoveScript(P, moves), Pp, THRESHOLD_2N_MINUS_1)
+        script = _plan_threshold_ccw(P, Pp, i, [b.realize() for b in cert.points])
+    else:  # the counterclockwise plan in the mirrored frame, whose slot k is slot n-1-k here
+        n, Pm = P.n, mirrored(P)
+        xs = [mirror_point(b, Pm).realize() for b in cert.points]
+        script = _plan_threshold_ccw(Pm, mirrored(Pp), n - 1 - i, xs)
+        script = relabel(script, P, tuple(range(n - 1, -1, -1)))
+    return finish_plan(script, Pp, THRESHOLD_2N_MINUS_1)
 
 
 def plan_vestibule(
@@ -532,4 +530,4 @@ def plan_vestibule(
         return threshold_plan
     tail = invert_pushout(Pp, pushout)
     script = MoveScript(P, threshold_plan.script.moves + (tail,))
-    return _finish(script, Pp, VESTIBULE_2N)
+    return finish_plan(script, Pp, VESTIBULE_2N)

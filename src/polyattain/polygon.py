@@ -10,9 +10,15 @@ from .geometry import (
     Rat,
     collinear_points,
     convex_hull,
+    cross,
     orient,
     segment_param,
 )
+
+
+class InvariantError(Exception):
+    """A construction broke an invariant its theory guarantees; indicates a
+    bug.  Raised by explicit checks, so they also run under `python -O`."""
 
 
 @dataclass(frozen=True)
@@ -134,6 +140,20 @@ def canonicalize_ccw(P: Polygon) -> tuple[Polygon, tuple[int, ...]] | None:
     return Polygon(P.hull), sigma
 
 
+def mirrored(P: Polygon) -> Polygon:
+    """Reflection across the x-axis with reversed vertex order: vertex k is
+    the image of vertex n-1-k, so a convex CCW polygon stays convex CCW.
+    The clockwise constructions run counterclockwise in this frame."""
+    return Polygon(tuple(Point(v.x, -v.y) for v in reversed(P.vertices)))
+
+
+def mirror_point(bp: BoundaryPoint, Pm: Polygon) -> BoundaryPoint:
+    """bp reflected onto Pm == mirrored(bp.host), by index arithmetic alone:
+    (e, t) goes to (-2-e, 1-t), which the constructor turns into (-1-e, 0)
+    for a vertex.  Mirroring back with the old host undoes it."""
+    return BoundaryPoint(Pm, -2 - bp.edge, 1 - bp.t)
+
+
 @dataclass(frozen=True)
 class BoundaryPoint:
     """A point of the boundary of a convex CCW polygon, as (edge, t).
@@ -176,11 +196,10 @@ def ray_polygon_exit(P: Polygon, origin: Point, direction: Point) -> BoundaryPoi
     the boundary of the convex CCW polygon P.
 
     The origin must lie on the boundary or inside co(P), so the exit exists.
-    When the ray runs along an edge the far endpoint of the overlap wins.
+    When the ray runs along an edge, the far endpoint of the overlap is met
+    on the neighbouring edge, which strict convexity keeps off its line.
     """
-    from .geometry import cross, dot
-
-    best_t: Rat | None = None
+    best: tuple[Rat, int, Rat] | None = None  # (ray t, edge, edge parameter)
     for i in range(P.n):
         a, b = P.edge(i)
         e = b - a
@@ -189,21 +208,11 @@ def ray_polygon_exit(P: Polygon, origin: Point, direction: Point) -> BoundaryPoi
         if den != 0:
             t = cross(w, e) / den
             s = cross(w, direction) / den
-            if t >= 0 and 0 <= s <= 1 and (best_t is None or t > best_t):
-                best_t = t
-        elif cross(w, direction) == 0:
-            # Ray collinear with the edge: its endpoints are the candidates.
-            dd = dot(direction, direction)
-            for q in (a, b):
-                t = dot(q - origin, direction) / dd
-                if t >= 0 and (best_t is None or t > best_t):
-                    best_t = t
-    if best_t is None:
+            if t >= 0 and 0 <= s <= 1 and (best is None or t > best[0]):
+                best = (t, i, s)
+    if best is None:
         raise ValueError("ray does not meet the boundary")
-    exit_pt = origin + direction.scale(best_t)
-    bp = P.locate_boundary(exit_pt)
-    assert bp is not None
-    return bp
+    return BoundaryPoint(P, best[1], best[2])
 
 
 def boundary_key(anchor: BoundaryPoint, z: BoundaryPoint) -> tuple[int, Rat]:

@@ -4,15 +4,17 @@ and the broken line construction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .geometry import Point, Rat, Ray, forward_sign, orient, segment_param
 from .polygon import (
     BoundaryPoint,
+    InvariantError,
     Polygon,
     boundary_key,
     co_contains,
     in_arc,
+    mirror_point,
+    mirrored,
     ray_polygon_exit,
 )
 
@@ -38,19 +40,24 @@ class TangentEval:
         return self.pivots[-1]
 
 
+def _on_boundary(P: Polygon, x: BoundaryPoint | Point, what: str) -> BoundaryPoint:
+    """A foot or start given as a point, addressed on the boundary of P."""
+    if isinstance(x, BoundaryPoint):
+        return x
+    bp = P.locate_boundary(x)
+    if bp is None:
+        raise ValueError(f"{what} must lie on the boundary")
+    return bp
+
+
 def right_tangent(P: Polygon, Pp: Polygon, x: BoundaryPoint | Point) -> TangentEval:
     """The right tangent ray to Pp from a boundary point of P, with its
     pivots and the Poncelet image.
 
     The inner polygon must not be collinear and must be contained in P.
     """
-    if isinstance(x, BoundaryPoint):
-        bp, xpt = x, x.realize()
-    else:
-        bp = P.locate_boundary(x)
-        if bp is None:
-            raise ValueError("tangent foot must lie on the boundary")
-        xpt = x
+    bp = _on_boundary(P, x, "tangent foot")
+    xpt = bp.realize()
     hull = Pp.hull
     if len(hull) < 3:
         raise ValueError("inner polygon is collinear")
@@ -89,34 +96,12 @@ def poncelet(P: Polygon, Pp: Polygon, x: BoundaryPoint | Point) -> BoundaryPoint
     return right_tangent(P, Pp, x).image
 
 
-@lru_cache(maxsize=256)
-def _mirrored(P: Polygon) -> Polygon:
-    """Reflection across the x-axis with reversed vertex order, so a convex
-    CCW polygon stays convex CCW."""
-    return Polygon(tuple(Point(v.x, -v.y) for v in reversed(P.vertices)))
-
-
-def _mirror_point(p: Point) -> Point:
-    return Point(p.x, -p.y)
-
-
-def _mirror_bp(bp: BoundaryPoint, target_host: Polygon) -> BoundaryPoint:
-    out = target_host.locate_boundary(_mirror_point(bp.realize()))
-    assert out is not None
-    return out
-
-
 def poncelet_cw(P: Polygon, Pp: Polygon, x: BoundaryPoint | Point) -> BoundaryPoint:
-    """The clockwise Poncelet map: left tangent ray, computed by reflecting
-    the whole configuration."""
-    Pm, Ppm = _mirrored(P), _mirrored(Pp)
-    if isinstance(x, Point):
-        bp = P.locate_boundary(x)
-        if bp is None:
-            raise ValueError("tangent foot must lie on the boundary")
-        x = bp
-    xm = _mirror_bp(x, Pm)
-    return _mirror_bp(poncelet(Pm, Ppm, xm), P)
+    """The clockwise Poncelet map: left tangent ray, computed as the right
+    tangent ray in the mirrored frame."""
+    Pm = mirrored(P)
+    xm = mirror_point(_on_boundary(P, x, "tangent foot"), Pm)
+    return mirror_point(poncelet(Pm, mirrored(Pp), xm), P)
 
 
 @dataclass(frozen=True)
@@ -141,27 +126,18 @@ class BlcResult:
 def blc(P: Polygon, Pp: Polygon, start: BoundaryPoint | Point, direction: str = "ccw") -> BlcResult:
     """Iterate the Poncelet map from a starting boundary point, stopping as
     soon as the next image leaves the open arc back to the start."""
+    if direction not in ("ccw", "cw"):
+        raise ValueError("direction must be 'ccw' or 'cw'")
+    start = _on_boundary(P, start, "start")
     if direction == "cw":
-        Pm, Ppm = _mirrored(P), _mirrored(Pp)
-        if isinstance(start, Point):
-            located = P.locate_boundary(start)
-            if located is None:
-                raise ValueError("start must lie on the boundary")
-            start = located
-        res = blc(Pm, Ppm, _mirror_bp(start, Pm), "ccw")
+        Pm = mirrored(P)
+        res = blc(Pm, mirrored(Pp), mirror_point(start, Pm), "ccw")
         return BlcResult(
-            tuple(_mirror_bp(b, P) for b in res.points),
-            tuple(_mirror_point(q) for q in res.pivots),
-            _mirror_bp(res.stop_image, P),
+            tuple(mirror_point(b, P) for b in res.points),
+            tuple(Point(q.x, -q.y) for q in res.pivots),
+            mirror_point(res.stop_image, P),
             "cw",
         )
-    if direction != "ccw":
-        raise ValueError("direction must be 'ccw' or 'cw'")
-    if isinstance(start, Point):
-        located = P.locate_boundary(start)
-        if located is None:
-            raise ValueError("start must lie on the boundary")
-        start = located
 
     ev = right_tangent(P, Pp, start)
     points = [start, ev.image]
@@ -169,13 +145,15 @@ def blc(P: Polygon, Pp: Polygon, start: BoundaryPoint | Point, direction: str = 
     while True:
         ev = right_tangent(P, Pp, points[-1])
         nxt = ev.image
-        if in_arc(points[-1], points[0], nxt, False, False):
-            points.append(nxt)
-            pivots.append(ev.far_pivot)
-        else:
+        if not in_arc(points[-1], points[0], nxt, False, False):
             stop_image = nxt
             break
-    assert 3 <= len(points) <= P.n + 1
+        points.append(nxt)
+        pivots.append(ev.far_pivot)
+        if len(points) > P.n + 1:
+            raise InvariantError(f"broken line exceeded its bound of {P.n + 1} points")
+    if len(points) < 3:
+        raise InvariantError("broken line stopped before its third point")
     return BlcResult(tuple(points), tuple(pivots), stop_image, "ccw")
 
 

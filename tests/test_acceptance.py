@@ -25,7 +25,6 @@ from polyattain.gen import (
 )
 from polyattain.geometry import Point, pt, segment_contains
 from polyattain.moves import (
-    PullIn,
     elementary_matrix,
     is_stochastic,
     mat_apply,

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,7 @@ from polyattain.attainability import (
 )
 from polyattain.gen import generate, random_convex_polygon, random_script
 from polyattain.geometry import Point, pt
-from polyattain.moves import apply_pullin, replay, verify_script
+from polyattain.moves import replay, verify_script
 from polyattain.polygon import Polygon, co_contains, polygon
 from polyattain.poncelet import blc
 

@@ -7,6 +7,7 @@ import pytest
 
 from polyattain import io as pio
 from polyattain.cli import main
+from polyattain.gen import MODES
 from polyattain.geometry import pt
 from polyattain.moves import MoveScript, PullIn
 from polyattain.svg import render_instance
@@ -132,6 +133,20 @@ def test_gen_modes_have_expected_verdicts(tmp_path):
             assert run_cli(["gen", "--n", "4", "--seed", str(seed), "--mode", mode, "-o", str(path)]) == 0
             P, Pp, _ = pio.load_instance(str(path))
             assert decide(P, Pp).status in allowed
+
+
+def test_gen_scales_to_n_64(tmp_path):
+    """The generator builds its polygon directly, so a large n finishes in
+    every mode instead of waiting for a lucky hull."""
+    for mode in MODES:
+        path = tmp_path / f"{mode}.json"
+        out = subprocess.run(
+            [sys.executable, "-m", "polyattain.cli", "gen", "--n", "64", "--mode", mode, "-o", str(path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        P, Pp, _ = pio.load_instance(str(path))
+        assert P.n == Pp.n == 64 and P.is_convex_ccw
 
 
 def test_decide_batch_jobs(sq_path, tmp_path, capsys):

@@ -177,31 +177,59 @@ def test_maximal_degenerate_hulls_agree():
 
 
 def test_witness_check_survives_optimize_flag():
-    """With certify_witness patched to fail, every degenerate branch raises
-    WitnessError even under `python -O`, where assert statements vanish."""
+    """With the predicate behind each explicit check patched to fail, every
+    degenerate branch raises WitnessError, and the BLC length bound and the
+    maximal-degenerate invariants raise InvariantError, even under
+    `python -O`, where assert statements vanish."""
     child = textwrap.dedent("""
+        from importlib import import_module
+
         from polyattain import degeneracy
-        from polyattain.polygon import polygon
+        from polyattain.polygon import BoundaryPoint, InvariantError, polygon
+
+        poncelet = import_module("polyattain.poncelet")  # the package exports a function of that name
 
         assert not __debug__
-        degeneracy.certify_witness = lambda P, Pp, w: False
         square = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-        cases = [
-            (square, polygon([("1/4", "1/4"), ("1/2", "1/4"), ("1/2", "1/2"), ("1/4", "1/2")])),
-            (square, polygon([("1/4", "1/4"), ("1/2", "1/2"), ("3/4", "3/4"), ("1/4", "1/4")])),
-            (polygon([(0, 0), (1, 0), (2, 0), (0, 1)]),
-             polygon([("1/4", "1/4"), ("1/2", "1/4"), ("1/2", "1/2"), ("1/4", "1/2")])),
-        ]
-        for P, Pp in cases:
+        corner = polygon([("1/4", "1/4"), ("1/2", "1/4"), ("1/2", "1/2"), ("1/4", "1/2")])
+        pentagon = polygon([(0, 0), (2, 0), (3, 2), (1, 3), (-1, 2)])
+        triangle = polygon([("1/4", "1/4"), ("1/2", "1/4"), ("1/2", "1/2")])
+
+        def expect(run):
             try:
-                degeneracy.is_degenerate(P, Pp)
-            except degeneracy.WitnessError:
+                run()
+            except (degeneracy.WitnessError, InvariantError):
                 print("raised")
             else:
                 print("accepted")
+
+        certify = degeneracy.certify_witness
+        degeneracy.certify_witness = lambda P, Pp, w: False
+        for P, Pp in [
+            (square, corner),
+            (square, polygon([("1/4", "1/4"), ("1/2", "1/2"), ("3/4", "3/4"), ("1/4", "1/4")])),
+            (polygon([(0, 0), (1, 0), (2, 0), (0, 1)]), corner),
+        ]:
+            expect(lambda: degeneracy.is_degenerate(P, Pp))
+        degeneracy.certify_witness = certify
+
+        in_arc = poncelet.in_arc
+        poncelet.in_arc = lambda *args: True  # the broken line never closes
+        expect(lambda: poncelet.blc(square, corner, BoundaryPoint(square, 0, 0)))
+        poncelet.in_arc = in_arc
+
+        maximal = degeneracy._is_maximal_degenerate
+        degeneracy._is_maximal_degenerate = lambda Q, P: False
+        expect(lambda: degeneracy.maximal_degenerate_extend(triangle, square))
+        degeneracy._is_maximal_degenerate = maximal
+
+        contains = degeneracy.co_contains
+        degeneracy.co_contains = lambda A, B: B.n != A.n - 1 and contains(A, B)
+        expect(lambda: degeneracy.maximal_degenerate_extend(triangle, pentagon))
     """)
     src = os.path.dirname(os.path.dirname(polyattain.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-O", "-c", child], capture_output=True, text=True, env=env)
+    out = subprocess.run([sys.executable, "-O", "-c", child], capture_output=True, text=True,
+                         env=env, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["raised"] * 3
+    assert out.stdout.split() == ["raised"] * 6

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from polyattain.geometry import pt
+from polyattain.geometry import Point, cross, pt
 from polyattain.polygon import (
     BoundaryPoint,
     Polygon,
@@ -11,6 +11,8 @@ from polyattain.polygon import (
     canonicalize_ccw,
     co_contains,
     in_arc,
+    mirror_point,
+    mirrored,
     polygon,
     ray_polygon_exit,
 )
@@ -160,3 +162,41 @@ def test_ray_polygon_exit(square):
     assert hit.realize() == pt(1, "1/3")
     hit = ray_polygon_exit(square, pt("1/4", 0), pt(1, 0))
     assert hit.realize() == pt(1, 0) and hit.edge == 1 and hit.t == 0
+
+
+def _exit_oracle(P: Polygon, o: Point, d: Point) -> BoundaryPoint:
+    """The ray exit from its half-plane form: the largest t with o + t*d on
+    the inner side of every edge, addressed by the O(n) boundary scan."""
+    t = min(
+        cross(b - a, o - a) / -cross(b - a, d)
+        for a, b in map(P.edge, range(P.n))
+        if cross(b - a, d) < 0
+    )
+    return P.locate_boundary(o + d.scale(t))
+
+
+def test_mirror_and_ray_exit_match_locate_boundary():
+    """The index arithmetic of mirror_point and the (edge, t) that
+    ray_polygon_exit builds agree with locating the same point by a scan,
+    on vertex feet, edge points, rays along edges and rays from vertices."""
+    from polyattain.gen import random_convex_combination, random_convex_polygon
+
+    rng = rng_for("mirror-ray")
+    for _ in range(60):
+        P = random_convex_polygon(rng, rng.randint(3, 8))
+        Pm = mirrored(P)
+        feet = [BoundaryPoint(P, e, Fraction(0)) for e in range(P.n)]
+        feet += [BoundaryPoint(P, e, Fraction(rng.randint(1, 7), 8)) for e in range(P.n)]
+        inner = random_convex_combination(rng, P)
+        for bp in feet:
+            q = bp.realize()
+            m = mirror_point(bp, Pm)
+            assert m == Pm.locate_boundary(Point(q.x, -q.y))
+            assert mirror_point(m, P) == bp
+            a, b = P.edge(bp.edge)
+            targets = [v for v in P.vertices if v != q] + [b, inner]
+            if bp.t > 0:
+                targets.append(a)  # backwards along the edge
+            for z in targets:
+                if z != q:
+                    assert ray_polygon_exit(P, q, z - q) == _exit_oracle(P, q, z - q)
