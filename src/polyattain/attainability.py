@@ -8,7 +8,15 @@ from dataclasses import dataclass, field
 from .degeneracy import is_degenerate
 from .moves import PushOut, relabel
 from .planners import PlanOutcome, finish_plan, plan_degenerate, plan_threshold, plan_vestibule
-from .polygon import BoundaryPoint, Polygon, canonicalize_ccw, co_contains, in_arc, ray_polygon_exit
+from .polygon import (
+    BoundaryPoint,
+    InvariantError,
+    Polygon,
+    canonicalize_ccw,
+    co_contains,
+    in_arc,
+    ray_polygon_exit,
+)
 from .poncelet import BlcResult, blc
 
 ATTAINABLE_DEGENERATE = "AttainableDegenerate"
@@ -57,18 +65,19 @@ def threshold_test(P: Polygon, Pp: Polygon, i: int) -> BlcResult | None:
 
     Both directions are tried when the vertex sits exactly on a corner.
     """
-    cert, _ = _threshold_probe(P, Pp, i)
+    bp = P.locate_boundary(Pp.vertices[i])
+    if bp is None:
+        raise ValueError("threshold test needs the chosen vertex on the boundary")
+    cert, _ = _threshold_probe(P, Pp, i, bp)
     return cert
 
 
 def _threshold_probe(
-    P: Polygon, Pp: Polygon, i: int
+    P: Polygon, Pp: Polygon, i: int, bp: BoundaryPoint
 ) -> tuple[BlcResult | None, tuple[BlcResult, ...]]:
-    """threshold_test plus the rejected runs, for audit trails."""
+    """threshold_test from vertex i, already located at bp, plus the
+    rejected runs, for audit trails."""
     n = P.n
-    bp = P.locate_boundary(Pp.vertices[i])
-    if bp is None:
-        raise ValueError("threshold test needs the chosen vertex on the boundary")
     if not Pp.is_convex_ccw:
         return None, tuple()
     prev_edge, this_edge = (i - 1) % n, i % n
@@ -103,12 +112,11 @@ def vestibule_test(
     """
     n = P.n
     audit: list[RejectionRecord] = []
-    boundary_vertices = [
-        i for i in range(n) if P.locate_boundary(Pp.vertices[i]) is not None
-    ]
+    located = [(i, P.locate_boundary(v)) for i, v in enumerate(Pp.vertices)]
+    boundary_vertices = [(i, bp) for i, bp in located if bp is not None]
     if boundary_vertices:
-        for i in boundary_vertices:
-            cert, failures = _threshold_probe(P, Pp, i)
+        for i, bp in boundary_vertices:
+            cert, failures = _threshold_probe(P, Pp, i, bp)
             if cert is not None:
                 return VestibuleCertificate(None, i, cert), tuple(audit)
             audit.append(
@@ -120,9 +128,10 @@ def vestibule_test(
     for i in range(n):
         for pusher in ((i - 1) % n, (i + 1) % n):
             origin, through = Pp.vertices[pusher], Pp.vertices[i]
-            landing = ray_polygon_exit(P, origin, through - origin).realize()
+            landing_bp = ray_polygon_exit(P, origin, through - origin, through)
+            landing = landing_bp.realize()
             pushed = Pp.replace(i, landing)
-            cert, failures = _threshold_probe(P, pushed, i)
+            cert, failures = _threshold_probe(P, pushed, i, landing_bp)
             if cert is not None:
                 return (
                     VestibuleCertificate(PushOut(i, pusher, landing), i, cert),
@@ -149,7 +158,8 @@ def decide(P: Polygon, Pp: Polygon, plan_moves: bool = False) -> Verdict:
         return Verdict(ATTAINABLE_DEGENERATE, dv, plan)
 
     canon = canonicalize_ccw(P)
-    assert canon is not None  # non-degenerate forces a set-convex outer polygon
+    if canon is None:
+        raise InvariantError("a non-degenerate instance has a set-convex outer polygon")
     Pc, sigma = canon
     Ppc = Polygon(tuple(Pp.vertices[s] for s in sigma))
     found, audit = vestibule_test(Pc, Ppc)

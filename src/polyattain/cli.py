@@ -3,6 +3,8 @@
 Subcommands: decide | blc | degeneracy | plan | verify | matrix | gen.
 Exit codes: 0 for a completed decision (whatever the verdict), 1 for a
 failed verification or an unplannable request, 2 for malformed input.
+A failed internal check (PlannerError, InvariantError, WitnessError) is
+reported as `error: ...` with exit code 1, never as a traceback.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from fractions import Fraction
 
 from . import io as pio
 from .attainability import decide
-from .degeneracy import is_degenerate
+from .degeneracy import WitnessError, is_degenerate
 from .gen import MODES, generate
 from .geometry import Point
 from .moves import is_stochastic, script_to_matrix, verify_script
-from .polygon import BoundaryPoint, Polygon
+from .planners import PlannerError
+from .polygon import BoundaryPoint, InvariantError, Polygon
 from .poncelet import blc
 from .svg import render_instance
 
@@ -379,7 +382,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "n", None) is not None and args.command == "gen" and args.n < 3:
         _fail("n must be at least 3")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (PlannerError, InvariantError, WitnessError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

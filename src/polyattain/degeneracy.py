@@ -102,7 +102,8 @@ def is_degenerate(P: Polygon, Pp: Polygon) -> DegeneracyVerdict:
         return DegeneracyVerdict(False, None, NO_GOOD_TEST_POINT)
 
     canon = canonicalize_ccw(P)
-    assert canon is not None
+    if canon is None:
+        raise InvariantError("outer polygon is not set-convex")
     Pc, _ = canon
     for start in test_points(Pc, Pp):
         res = blc(Pc, Pp, start)

@@ -3,7 +3,7 @@
 Three modes: `random` (convex outer polygon, inner vertices as convex
 combinations), `scripted` (inner polygon produced by a random pull-in
 script, so attainability is known), and `degenerate` (inner polygon packed
-into a sub-hull spanned by n-1 of the outer vertices).
+into a sub-hull spanned by n-1 of the outer vertices; a segment at n = 3).
 """
 
 from __future__ import annotations
@@ -57,13 +57,17 @@ def random_convex_polygon(rng: random.Random, n: int) -> Polygon:
 
 
 def random_convex_combination(rng: random.Random, P: Polygon, den: int = 8) -> Point:
-    weights = [Fraction(rng.randint(0, den)) for _ in range(P.n)]
+    return _combination(rng, P.vertices, den)
+
+
+def _combination(rng: random.Random, vertices, den: int = 8) -> Point:
+    weights = [Fraction(rng.randint(0, den)) for _ in vertices]
     total = sum(weights)
     if total == 0:
-        weights[rng.randrange(P.n)] = Fraction(1)
+        weights[rng.randrange(len(vertices))] = Fraction(1)
         total = Fraction(1)
-    x = sum((w * v.x for w, v in zip(weights, P.vertices)), Rat(0)) / total
-    y = sum((w * v.y for w, v in zip(weights, P.vertices)), Rat(0)) / total
+    x = sum((w * v.x for w, v in zip(weights, vertices)), Rat(0)) / total
+    y = sum((w * v.y for w, v in zip(weights, vertices)), Rat(0)) / total
     return Point(x, y)
 
 
@@ -117,6 +121,8 @@ def generate(rng: random.Random, n: int, mode: str) -> tuple[Polygon, Polygon, d
         return P, Pp, {"script_length": len(script.moves)}
     sub = list(range(n))
     sub.remove(rng.randrange(n))
-    Q = Polygon(tuple(P.vertices[k] for k in sub))
-    Pp = Polygon(tuple(random_convex_combination(rng, Q) for _ in range(n)))
+    # At n = 3 the n-1 vertices span a segment, and the packed inner
+    # polygon is collinear, which is degenerate too.
+    Q = [P.vertices[k] for k in sub]
+    Pp = Polygon(tuple(_combination(rng, Q) for _ in range(n)))
     return P, Pp, {"witness_vertices": sub}

@@ -28,6 +28,7 @@ from .moves import (
     verify_script,
 )
 from .polygon import (
+    InvariantError,
     Polygon,
     canonicalize_ccw,
     mirror_point,
@@ -302,7 +303,8 @@ def _plan_degenerate_nonconvex(P: Polygon, Pp: Polygon) -> MoveScript:
 def _plan_degenerate_convex(P: Polygon, Pp: Polygon, witness: Polygon) -> MoveScript:
     """Set-convex outer polygon, n >= 4: the maximal-degenerate route."""
     canon = canonicalize_ccw(P)
-    assert canon is not None
+    if canon is None:
+        raise InvariantError("outer polygon is not set-convex")
     Pc, sigma = canon
     Ppc = Polygon(tuple(Pp.vertices[s] for s in sigma))
     n = Pc.n

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Point, Rat, Ray, forward_sign, orient, segment_param
+from .geometry import Point, Rat, Ray, forward_sign, orient
 from .polygon import (
     BoundaryPoint,
     InvariantError,
@@ -50,45 +50,109 @@ def _on_boundary(P: Polygon, x: BoundaryPoint | Point, what: str) -> BoundaryPoi
     return bp
 
 
+def _later(x: Point, b: Point, p: Point, q: Point) -> int:
+    """+1, 0 or -1 as q is seen from x at a larger, equal or smaller angle
+    than p, measured counterclockwise from the direction x->b.
+
+    Every point compared lies weakly left of that direction, so the angles
+    lie in [0, pi] and one orientation test decides unless p, q and x are
+    collinear.  x itself counts as the largest angle.
+    """
+    o = orient(x, p, q)
+    if o:
+        return o
+    if q == x:
+        return int(p != x)
+    if p == x:
+        return -1
+    if forward_sign(x, p, q) > 0:
+        return 0
+    # On the line x-b at opposite sides of x: the one ahead of x has angle 0.
+    return 1 if forward_sign(x, b, p) > 0 else -1
+
+
+def _tangent_index(hull: tuple[Point, ...], x: Point, b: Point) -> int:
+    """Index of the hull vertex that x sees at the smallest angle (see
+    `_later`); of two at that angle, the first in cyclic order.
+
+    Around the hull the angles rise from the minimum to a maximum and fall
+    back to it.  Unless vertex 0 is the minimum, "vertex k comes before the
+    minimum" holds up to it and fails from it on, and the slope at k with
+    one comparison against vertex 0 decides it, so a bisection takes
+    O(log h) orientation tests.
+    """
+    m = len(hull)
+
+    def slope(k: int) -> int:
+        return _later(x, b, hull[k], hull[(k + 1) % m])
+
+    first = slope(0)
+    if first >= 0 and slope(m - 1) < 0:
+        return 0
+    if first > 0:
+        # Rising at 0: the minimum ends the fall that follows the maximum,
+        # and vertices on the final rise lie below vertex 0.
+        before = lambda k: slope(k) < 0 or _later(x, b, hull[0], hull[k]) > 0
+    else:
+        # Falling at 0, or vertices 0 and 1 are a level maximum: the minimum
+        # ends this fall, and vertices on the final fall lie above vertex 0.
+        before = lambda k: slope(k) < 0 and _later(x, b, hull[0], hull[k]) <= 0
+    lo, hi = 0, m - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if before(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def right_tangent(P: Polygon, Pp: Polygon, x: BoundaryPoint | Point) -> TangentEval:
     """The right tangent ray to Pp from a boundary point of P, with its
     pivots and the Poncelet image.
 
     The inner polygon must not be collinear and must be contained in P.
+    The tangent vertex is found by bisection and certified by its two hull
+    neighbours: both weakly left of the ray means the whole hull is, since
+    the hull is convex.  Only a neighbour can share the tangent line, so the
+    pivots come from those three vertices.
     """
     bp = _on_boundary(P, x, "tangent foot")
     xpt = bp.realize()
     hull = Pp.hull
-    if len(hull) < 3:
+    m = len(hull)
+    if m < 3:
         raise ValueError("inner polygon is collinear")
-    best = None
-    for v in hull:
-        if v == xpt:
-            continue
-        if all(orient(xpt, v, w) >= 0 for w in hull):
-            best = v
-            break
-    if best is None:
-        raise ValueError("no tangent ray: foot lies inside the inner hull")
-    pivots = sorted(
-        (u for u in hull if u != xpt and orient(xpt, best, u) == 0
-         and forward_sign(xpt, best, u) > 0),
-        key=lambda u: segment_param(xpt, best, u),
-    )
-    ray = Ray(xpt, best - xpt)
-
     a, b = P.edge(bp.edge)
+    k = _tangent_index(hull, xpt, b)
+    v, prev, nxt = hull[k], hull[k - 1], hull[(k + 1) % m]
+    o_prev, o_next = orient(xpt, v, prev), orient(xpt, v, nxt)
+    if v == xpt or o_prev < 0 or o_next < 0:
+        raise ValueError("no tangent ray: foot lies inside the inner hull")
+    # Two pivots in hull order are in order of distance from the foot: the
+    # ray runs along the hull edge between them, with the hull on its left.
+    if o_prev == 0 and forward_sign(xpt, v, prev) > 0:
+        pivots = (prev, v)
+    elif o_next == 0 and forward_sign(xpt, v, nxt) > 0:
+        pivots = (v, nxt)
+    else:
+        pivots = (v,)
+    near = pivots[0]
+    ray = Ray(xpt, near - xpt)
+
     far = pivots[-1]
     if orient(a, b, far) == 0:
         # Tangent collinear with the host edge through x: the boundary case.
         # The backward direction would force Pp onto that edge line, which
         # the collinearity gate above already excludes.
-        assert forward_sign(xpt, b, far) > 0
+        if forward_sign(xpt, b, far) <= 0:
+            raise InvariantError("tangent runs backwards along the host edge")
         image = BoundaryPoint(P, (bp.edge + 1) % P.n, Rat(0))
-        return TangentEval(ray, tuple(pivots), BOUNDARY, image)
-    image = ray_polygon_exit(P, xpt, ray.dir)
-    assert image.realize() != xpt
-    return TangentEval(ray, tuple(pivots), INTERIOR, image)
+        return TangentEval(ray, pivots, BOUNDARY, image)
+    image = ray_polygon_exit(P, bp, ray.dir, near)
+    if image.edge == bp.edge and image.t == bp.t:
+        raise InvariantError("tangent ray exits P at its own foot")
+    return TangentEval(ray, pivots, INTERIOR, image)
 
 
 def poncelet(P: Polygon, Pp: Polygon, x: BoundaryPoint | Point) -> BoundaryPoint:

@@ -58,6 +58,24 @@ def test_decide_exit_codes(tmp_path):
     assert e.value.code == 2
 
 
+def test_decide_reports_failed_checks_without_traceback(sq_path, monkeypatch, capsys):
+    """A planner, invariant or witness check that fails inside `decide` is an
+    unplannable request: `error: ...` on stderr and exit code 1."""
+    from polyattain import attainability
+    from polyattain.degeneracy import WitnessError
+    from polyattain.planners import PlannerError
+    from polyattain.polygon import InvariantError
+
+    for err in (PlannerError, InvariantError, WitnessError):
+        def fail(*args, err=err):
+            raise err("check failed")
+
+        monkeypatch.setattr(attainability, "plan_threshold", fail)
+        assert run_cli(["decide", sq_path, "--plan", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: check failed\n"
+
+
 def test_plan_verify_round_trip(sq_path, tmp_path, capsys):
     plan_path = str(tmp_path / "plan.json")
     assert run_cli(["plan", sq_path, "-o", plan_path]) == 0
@@ -125,12 +143,13 @@ def test_gen_modes_have_expected_verdicts(tmp_path):
     from polyattain.attainability import decide
 
     for seed in range(6):
-        for mode, allowed in (
-            ("scripted", {"AttainableDegenerate", "AttainableVestibule"}),
-            ("degenerate", {"AttainableDegenerate"}),
+        for n, mode, allowed in (
+            (4, "scripted", {"AttainableDegenerate", "AttainableVestibule"}),
+            (4, "degenerate", {"AttainableDegenerate"}),
+            (3, "degenerate", {"AttainableDegenerate"}),  # packed onto a segment
         ):
-            path = tmp_path / f"{mode}{seed}.json"
-            assert run_cli(["gen", "--n", "4", "--seed", str(seed), "--mode", mode, "-o", str(path)]) == 0
+            path = tmp_path / f"{mode}{n}-{seed}.json"
+            assert run_cli(["gen", "--n", str(n), "--seed", str(seed), "--mode", mode, "-o", str(path)]) == 0
             P, Pp, _ = pio.load_instance(str(path))
             assert decide(P, Pp).status in allowed
 

@@ -178,9 +178,9 @@ def test_maximal_degenerate_hulls_agree():
 
 def test_witness_check_survives_optimize_flag():
     """With the predicate behind each explicit check patched to fail, every
-    degenerate branch raises WitnessError, and the BLC length bound and the
-    maximal-degenerate invariants raise InvariantError, even under
-    `python -O`, where assert statements vanish."""
+    degenerate branch raises WitnessError, and the BLC length bound, the
+    maximal-degenerate invariants and both checks of a tangent step raise
+    InvariantError, even under `python -O`, where assert statements vanish."""
     child = textwrap.dedent("""
         from importlib import import_module
 
@@ -226,10 +226,24 @@ def test_witness_check_survives_optimize_flag():
         contains = degeneracy.co_contains
         degeneracy.co_contains = lambda A, B: B.n != A.n - 1 and contains(A, B)
         expect(lambda: degeneracy.maximal_degenerate_extend(triangle, pentagon))
+        degeneracy.co_contains = contains
+
+        exit_query = poncelet.ray_polygon_exit
+        poncelet.ray_polygon_exit = lambda P, origin, *rest: origin  # the ray exits at its foot
+        expect(lambda: poncelet.right_tangent(square, corner, BoundaryPoint(square, 0, 0)))
+        poncelet.ray_polygon_exit = exit_query
+
+        # the tangent from (1/4, 0) runs along the host edge to (1/2, 0); with
+        # forward_sign patched it appears to run backwards
+        on_edge = polygon([("1/2", 0), ("3/4", "1/4"), ("1/2", "1/2"), ("1/4", "1/4")])
+        forward = poncelet.forward_sign
+        poncelet.forward_sign = lambda a, b, c: 0
+        expect(lambda: poncelet.right_tangent(square, on_edge, BoundaryPoint(square, 0, "1/4")))
+        poncelet.forward_sign = forward
     """)
     src = os.path.dirname(os.path.dirname(polyattain.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-O", "-c", child], capture_output=True, text=True,
                          env=env, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["raised"] * 6
+    assert out.stdout.split() == ["raised"] * 8

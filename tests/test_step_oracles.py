@@ -1,0 +1,230 @@
+"""Differential tests of one broken-line step against brute-force oracles.
+
+`ray_polygon_exit` finds its exit edge by orientation signs (a bisection
+from a boundary origin) and `right_tangent` finds its tangent vertex by a
+bisection over the inner hull.  The oracles below are the direct versions
+they replaced: the ray intersected with every edge in Fraction arithmetic,
+and every hull vertex tested against every other.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from polyattain.gen import random_convex_combination, random_convex_polygon, random_interior_inner
+from polyattain.geometry import Point, Ray, cross, forward_sign, orient, segment_param
+from polyattain.polygon import BoundaryPoint, Polygon, mirror_point, mirrored, ray_polygon_exit
+from polyattain.poncelet import BOUNDARY, INTERIOR, poncelet_cw, right_tangent
+
+from conftest import rng_for
+
+SIZES = list(range(3, 13)) + [16, 24, 32, 48]
+
+
+def exit_oracle(P: Polygon, origin: Point, direction: Point) -> BoundaryPoint:
+    """The furthest crossing with t >= 0 over all n edges."""
+    best = None  # (ray t, edge, edge parameter)
+    for i in range(P.n):
+        a, b = P.edge(i)
+        e = b - a
+        w = a - origin
+        den = cross(direction, e)
+        if den != 0:
+            t = cross(w, e) / den
+            s = cross(w, direction) / den
+            if t >= 0 and 0 <= s <= 1 and (best is None or t > best[0]):
+                best = (t, i, s)
+    if best is None:
+        raise ValueError("ray does not meet the boundary")
+    return BoundaryPoint(P, best[1], best[2])
+
+
+def tangent_oracle(P: Polygon, Pp: Polygon, bp: BoundaryPoint):
+    """(ray, pivots, case, image): the first hull vertex with every hull
+    vertex weakly left of the ray to it, in O(h^2) orientation tests."""
+    xpt = bp.realize()
+    hull = Pp.hull
+    if len(hull) < 3:
+        raise ValueError("inner polygon is collinear")
+    best = next(
+        (v for v in hull if v != xpt and all(orient(xpt, v, w) >= 0 for w in hull)), None
+    )
+    if best is None:
+        raise ValueError("no tangent ray: foot lies inside the inner hull")
+    pivots = tuple(sorted(
+        (u for u in hull if u != xpt and orient(xpt, best, u) == 0
+         and forward_sign(xpt, best, u) > 0),
+        key=lambda u: segment_param(xpt, best, u),
+    ))
+    ray = Ray(xpt, best - xpt)
+    a, b = P.edge(bp.edge)
+    if orient(a, b, pivots[-1]) == 0:
+        return ray, pivots, BOUNDARY, BoundaryPoint(P, bp.edge + 1, 0)
+    return ray, pivots, INTERIOR, exit_oracle(P, xpt, ray.dir)
+
+
+def rational_polygon(rng, n: int) -> Polygon:
+    """A random convex CCW n-gon, moved by a rational shift and scale so
+    that coordinates carry denominators."""
+    P = random_convex_polygon(rng, n)
+    k = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    dx, dy = Fraction(rng.randint(-9, 9), rng.randint(1, 7)), Fraction(rng.randint(-9, 9), 5)
+    return Polygon(tuple(Point(v.x * k + dx, v.y * k + dy) for v in P.vertices))
+
+
+def feet(rng, P: Polygon):
+    """The vertex and one random point of every edge, or of 12 random edges
+    when P has more."""
+    for e in sorted(rng.sample(range(P.n), min(P.n, 12))):
+        yield BoundaryPoint(P, e, 0)
+        yield BoundaryPoint(P, e, Fraction(rng.randint(1, 15), 16))
+
+
+def check_exit(P, origin, d, through=None):
+    o = origin.realize() if isinstance(origin, BoundaryPoint) else origin
+    try:
+        want = exit_oracle(P, o, d)
+    except ValueError:
+        with pytest.raises(ValueError):
+            ray_polygon_exit(P, origin, d, through)
+        return None
+    got = ray_polygon_exit(P, origin, d, through)
+    assert (got.edge, got.t) == (want.edge, want.t), (P, origin, d)
+    return got
+
+
+def check_tangent(P, Pp, bp):
+    try:
+        want = tangent_oracle(P, Pp, bp)
+    except ValueError:
+        with pytest.raises(ValueError):
+            right_tangent(P, Pp, bp)
+        return None
+    ev = right_tangent(P, Pp, bp)
+    ray, pivots, case, image = want
+    assert (ev.pivots, ev.case, ev.image) == (pivots, case, image), (P, Pp, bp)
+    assert ev.ray.origin == ray.origin and ev.ray.at(1) == pivots[0]  # aimed at the near pivot
+    return ev
+
+
+def test_exit_matches_oracle_from_feet_and_interior_origins():
+    rng = rng_for("step-oracle-exit")
+    for n in SIZES:
+        for _ in range(2 if n <= 8 else 1):
+            P = rational_polygon(rng, n)
+            for bp in feet(rng, P):
+                x = bp.realize()
+                z = random_convex_combination(rng, P)
+                if z != x:
+                    check_exit(P, bp, z - x, z if rng.random() < 0.5 else None)
+                    check_exit(P, x, z - x)
+                # outward: the ray leaves P at once, so the exit is the origin
+                a, b = P.edge(bp.edge)
+                out = Point(b.y - a.y, a.x - b.x)
+                assert check_exit(P, bp, out) == bp
+                assert check_exit(P, bp, out + (b - a).scale(Fraction(rng.randint(-3, 3), 4))) == bp
+                # along the foot's edge, both ways
+                check_exit(P, bp, b - a)
+                check_exit(P, bp, a - b)
+            for _ in range(min(n, 12)):
+                o = random_convex_combination(rng, P)
+                d = random_convex_combination(rng, P) - o
+                if d != Point(Fraction(0), Fraction(0)):
+                    check_exit(P, o, d)
+                # through a vertex, and from a vertex
+                v = P.vertex(rng.randrange(n))
+                if v != o:
+                    assert check_exit(P, o, v - o).realize() == v
+                    check_exit(P, v, o - v)
+
+
+def test_exit_rejects_rays_that_miss():
+    rng = rng_for("step-oracle-miss")
+    for n in SIZES[:8]:
+        P = rational_polygon(rng, n)
+        c = random_convex_combination(rng, P)
+        far = Point(max(v.x for v in P.vertices) + 1, c.y)
+        check_exit(P, far, Point(Fraction(1), Fraction(0)))   # points away: ValueError
+        check_exit(P, far, Point(Fraction(-1), Fraction(0)))  # comes back across P
+
+
+def test_tangent_matches_oracle():
+    """Interior inner polygons, inner polygons touching the boundary, and
+    the identity Pp == P, whose hull holds every foot."""
+    rng = rng_for("step-oracle-tangent")
+    for n in SIZES:
+        P = rational_polygon(rng, n)
+        touching = list(random_interior_inner(rng, P).vertices)
+        for k in rng.sample(range(n), min(n, 3)):
+            touching[k] = BoundaryPoint(P, rng.randrange(n), Fraction(rng.randint(0, 3), 4)).realize()
+        for Pp in (random_interior_inner(rng, P), Polygon(tuple(touching)), P):
+            for bp in feet(rng, P):
+                check_tangent(P, Pp, bp)
+        # P scaled by 2 about its vertex centroid: every foot lies strictly
+        # inside the inner hull, so there is no tangent ray
+        c = Point(sum(v.x for v in P.vertices) / n, sum(v.y for v in P.vertices) / n)
+        around = Polygon(tuple(c + (v - c).scale(2) for v in P.vertices))
+        for bp in feet(rng, P):
+            with pytest.raises(ValueError, match="inside the inner hull"):
+                right_tangent(P, around, bp)
+            if len(Pp.hull) < 3:
+                continue
+            # the clockwise map runs the same step in the mirrored frame
+            Pm, Ppm = mirrored(P), mirrored(Pp)
+            for bp in list(feet(rng, P))[::3]:
+                want = tangent_oracle(Pm, Ppm, mirror_point(bp, Pm))[3]
+                assert poncelet_cw(P, Pp, bp) == mirror_point(want, P)
+
+
+def test_tangent_with_collinear_pivots_and_boundary_case():
+    rng = rng_for("step-oracle-ties")
+    cases = {"two": 0, BOUNDARY: 0}
+    for n in SIZES:
+        P = rational_polygon(rng, n)
+        for bp in feet(rng, P):
+            Pp = random_interior_inner(rng, P)
+            ray, pivots, case, image = tangent_oracle(P, Pp, bp)
+            # a new hull vertex on the tangent ray beyond the far pivot
+            far, tip = pivots[-1], image.realize()
+            extra = far + (tip - far).scale(Fraction(rng.randint(1, 7), 8))
+            ev = check_tangent(P, Polygon(Pp.vertices + (extra,)), bp)
+            cases["two"] += len(ev.pivots) == 2
+            # a vertex of the inner polygon on the foot's edge, ahead of the foot
+            a, b = P.edge(bp.edge)
+            ahead = bp.t + (1 - bp.t) * Fraction(rng.randint(1, 7), 8)
+            on_edge = a + (b - a).scale(ahead)
+            ev = check_tangent(P, Polygon(Pp.vertices[1:] + (on_edge,)), bp)
+            cases[BOUNDARY] += ev.case == BOUNDARY
+            # the same vertex, now behind the foot (only when the foot is past it)
+            if bp.t > 0:
+                behind = a + (b - a).scale(bp.t * Fraction(rng.randint(0, 7), 8))
+                check_tangent(P, Polygon(Pp.vertices[1:] + (behind,)), bp)
+    assert cases["two"] > 100 and cases[BOUNDARY] > 100
+
+
+def test_steps_take_logarithmic_orientation_tests(monkeypatch):
+    """From a foot, the exit edge and the tangent vertex each cost O(log n)
+    orientation tests; a linear scan would make at least n."""
+    from collections import Counter
+    from importlib import import_module
+
+    from polyattain import geometry
+
+    calls = Counter()
+    for module in map(import_module, ("polyattain.polygon", "polyattain.poncelet")):
+        def counted(a, b, c, name=module.__name__):
+            calls[name] += 1
+            return geometry.orient(a, b, c)
+
+        monkeypatch.setattr(module, "orient", counted)
+    rng = rng_for("step-cost")
+    n = 128
+    P = random_convex_polygon(rng, n)
+    c = random_convex_combination(rng, P)
+    Pp = Polygon(tuple(c + (v - c).scale(Fraction(1, 2)) for v in P.vertices))
+    assert len(Pp.hull) == n
+    for bp in feet(rng, P):
+        calls.clear()
+        assert right_tangent(P, Pp, bp).case == INTERIOR
+        assert calls["polyattain.polygon"] <= 2 + 7 + 1  # two end signs, the bisection
+        assert calls["polyattain.poncelet"] <= 2 + 2 * 7 + 3  # two slopes, the bisection, the checks
