@@ -2,7 +2,7 @@
 
 from .attainability import Verdict, decide, threshold_test, vestibule_test
 from .degeneracy import DegeneracyVerdict, is_degenerate, maximal_degenerate_extend
-from .geometry import POLE, DirectedLine, Perspectivity, Point, Pole, Rat, Ray, pt, rat
+from .geometry import Point, Rat, Ray, pt, rat
 from .moves import (
     MoveScript,
     PullIn,
@@ -14,20 +14,16 @@ from .moves import (
     verify_script,
 )
 from .planners import PlanOutcome, plan_degenerate, plan_threshold, plan_vestibule
-from .polygon import BoundaryPoint, Polygon, canonicalize_ccw, co_contains, polygon
-from .poncelet import BlcResult, blc, gamma_sets, poncelet, poncelet_cw, right_tangent
+from .polygon import BoundaryPoint, Polygon, canonicalize_ccw, co_contains
+from .poncelet import BlcResult, blc, gamma_sets, poncelet_cw, right_tangent
 
 __all__ = [
-    "POLE",
     "BlcResult",
     "BoundaryPoint",
     "DegeneracyVerdict",
-    "DirectedLine",
     "MoveScript",
-    "Perspectivity",
     "PlanOutcome",
     "Point",
-    "Pole",
     "Polygon",
     "PullIn",
     "PushOut",
@@ -47,8 +43,6 @@ __all__ = [
     "plan_degenerate",
     "plan_threshold",
     "plan_vestibule",
-    "polygon",
-    "poncelet",
     "poncelet_cw",
     "pt",
     "rat",

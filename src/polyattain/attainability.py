@@ -26,12 +26,6 @@ UNKNOWN_N3 = "UnknownN3"
 
 
 @dataclass(frozen=True)
-class ThresholdCertificate:
-    vertex: int
-    cert: BlcResult
-
-
-@dataclass(frozen=True)
 class VestibuleCertificate:
     pushout: PushOut | None  # None: the polygon is already in the threshold
     vertex: int

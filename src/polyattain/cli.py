@@ -2,7 +2,8 @@
 
 Subcommands: decide | blc | degeneracy | plan | verify | matrix | gen.
 Exit codes: 0 for a completed decision (whatever the verdict), 1 for a
-failed verification or an unplannable request, 2 for malformed input.
+failed verification, an unplannable request or an output pipe closed by
+its reader, 2 for malformed input (in a `decide` batch, for any bad file).
 A failed internal check (PlannerError, InvariantError, WitnessError) is
 reported as `error: ...` with exit code 1, never as a traceback.
 """
@@ -139,38 +140,41 @@ def _print_report(report: dict, as_json: bool) -> None:
     print(f"decided in {report['ms']} ms")
 
 
-def _decide_one(args_tuple):
+def _decide_one(args_tuple) -> tuple[dict | None, str | None]:
+    """(report, None) for a decided file, (None, message) for one that
+    cannot be read or violates containment."""
     path, plan_flag, matrix_flag, decimal = args_tuple
-    P, Pp, _ = pio.load_instance(path)
-    from .polygon import co_contains
-
-    if not co_contains(P, Pp):
-        raise pio.FormatError("containment violated")
-    t0 = time.perf_counter()
-    verdict = decide(P, Pp, plan_moves=plan_flag)
-    return _verdict_report(P, Pp, verdict, matrix_flag, decimal, time.perf_counter() - t0)
+    try:
+        P, Pp, _ = pio.load_instance(path)
+        t0 = time.perf_counter()
+        verdict = decide(P, Pp, plan_moves=plan_flag)
+    except (OSError, ValueError) as e:
+        return None, str(e)
+    return _verdict_report(P, Pp, verdict, matrix_flag, decimal, time.perf_counter() - t0), None
 
 
 def cmd_decide(args) -> int:
-    jobs = []
-    for path in args.instance:
-        jobs.append((path, args.plan, args.matrix, args.decimal))
-    try:
-        if args.jobs > 1 and len(jobs) > 1:
-            import multiprocessing as mp
+    """Reports of the good files in input order, `error: <path>: <msg>` for
+    each bad one, and exit code 2 if any file failed."""
+    jobs = [(path, args.plan, args.matrix, args.decimal) for path in args.instance]
+    if args.jobs > 1 and len(jobs) > 1:
+        import multiprocessing as mp
 
-            with mp.Pool(args.jobs) as pool:
-                reports = pool.map(_decide_one, jobs)
-        else:
-            reports = [_decide_one(j) for j in jobs]
-    except (OSError, pio.FormatError) as e:
-        _fail(str(e))
-    except ValueError as e:
-        _fail(str(e))
-    for path, report in zip(args.instance, reports):
+        with mp.Pool(args.jobs) as pool:
+            results = pool.map(_decide_one, jobs)
+    else:
+        results = [_decide_one(j) for j in jobs]
+    failed = False
+    for path, (report, error) in zip(args.instance, results):
+        if error is not None:
+            print(f"error: {path}: {error}", file=sys.stderr)
+            failed = True
+            continue
         if len(args.instance) > 1:
             report["instance"] = path
         _print_report(report, args.json)
+    if failed:
+        sys.exit(2)
     return 0
 
 
@@ -383,9 +387,17 @@ def main(argv=None) -> int:
     if getattr(args, "n", None) is not None and args.command == "gen" and args.n < 3:
         _fail("n must be at least 3")
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        finally:
+            sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
     except (PlannerError, InvariantError, WitnessError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader went away: drop what is left for stdout instead of
+        # failing again when the interpreter flushes it on exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -61,11 +61,11 @@ def _collinear_witness(P: Polygon, Pp: Polygon) -> Polygon:
         for v in P.vertices:
             if v != a:
                 return Polygon((a, b, v))
-        raise AssertionError("outer polygon collapsed to a point")
+        raise InvariantError("outer polygon collapsed to a point")
     for v in P.vertices:
         if orient(a, b, v) != 0:
             return Polygon((a, b, v))
-    raise AssertionError("set-convex outer polygon has no vertex off the line")
+    raise InvariantError("set-convex outer polygon has no vertex off the line")
 
 
 def is_degenerate(P: Polygon, Pp: Polygon) -> DegeneracyVerdict:
@@ -203,7 +203,7 @@ def push_landing(P: Polygon, pusher: Point, mover: Point) -> Point:
     for v in P.vertices:
         if v != mover:
             return ray_polygon_exit(P, mover, v - mover).realize()
-    raise AssertionError("outer polygon collapsed to a point")
+    raise InvariantError("outer polygon collapsed to a point")
 
 
 def edge_push_target(a: Point, b: Point, pusher: Point, mover: Point) -> Point:
@@ -212,7 +212,8 @@ def edge_push_target(a: Point, b: Point, pusher: Point, mover: Point) -> Point:
     if pusher == mover:
         return b
     ta, tm = segment_param(a, b, pusher), segment_param(a, b, mover)
-    assert ta is not None and tm is not None
+    if ta is None or tm is None:
+        raise InvariantError("edge push with a point off the edge's line")
     return b if ta <= tm else a
 
 

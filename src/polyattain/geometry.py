@@ -1,4 +1,4 @@
-"""Exact rational planar kernel: points, lines, rays, perspectivities.
+"""Exact rational planar kernel: points, segments, rays and convex hulls.
 
 Every predicate and construction here is exact; all scalars are
 ``fractions.Fraction`` and no tolerances exist anywhere.  The hot
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 Rat = Fraction
 
@@ -48,10 +47,6 @@ def pt(x, y) -> Point:
 
 def cross(u: Point, v: Point) -> Rat:
     return u.x * v.y - u.y * v.x
-
-
-def dot(u: Point, v: Point) -> Rat:
-    return u.x * v.x + u.y * v.y
 
 
 def orient(a: Point, b: Point, c: Point) -> int:
@@ -152,78 +147,6 @@ def segment_param(a: Point, b: Point, q: Point) -> Rat | None:
     return (q.y - a.y) / d.y
 
 
-def line_intersection(a: Point, da: Point, b: Point, db: Point) -> Point | None:
-    """Intersection of lines a + t*da and b + s*db; None if parallel."""
-    den = cross(da, db)
-    if den == 0:
-        return None
-    t = cross(b - a, db) / den
-    return a + da.scale(t)
-
-
-def _primitive(d: Point) -> tuple[int, int] | None:
-    """Primitive integer direction of d keeping its sign; None for zero."""
-    if d.x == 0 and d.y == 0:
-        return None
-    q = d.x.denominator * d.y.denominator
-    nx = d.x.numerator * (q // d.x.denominator)
-    ny = d.y.numerator * (q // d.y.denominator)
-    g = gcd(abs(nx), abs(ny))
-    return (nx // g, ny // g)
-
-
-@dataclass(frozen=True)
-class DirectedLine:
-    """A line with one of its two orders, fixed by base and direction."""
-
-    base: Point
-    dir: Point
-
-    def __post_init__(self):
-        if self.dir == Point(Rat(0), Rat(0)):
-            raise ValueError("zero direction")
-
-    @staticmethod
-    def through(a: Point, b: Point) -> "DirectedLine":
-        if a == b:
-            raise ValueError("coincident points do not determine a line")
-        return DirectedLine(a, b - a)
-
-    def contains(self, q: Point) -> bool:
-        return orient(self.base, self.base + self.dir, q) == 0
-
-    def param(self, q: Point) -> Rat:
-        """Order-compatible coordinate of a point on the line."""
-        if not self.contains(q):
-            raise ValueError("point not on line")
-        d = self.dir
-        if d.x != 0:
-            return (q.x - self.base.x) / d.x
-        return (q.y - self.base.y) / d.y
-
-    def at(self, t: Rat) -> Point:
-        return self.base + self.dir.scale(t)
-
-    def same_line(self, other: "DirectedLine") -> bool:
-        return self.contains(other.base) and cross(self.dir, other.dir) == 0
-
-    def __eq__(self, other) -> bool:
-        """Same point set and positively proportional directions."""
-        if not isinstance(other, DirectedLine):
-            return NotImplemented
-        return (
-            self.same_line(other)
-            and dot(self.dir, other.dir) > 0
-        )
-
-    def __hash__(self):
-        # Canonical: primitive direction plus the foot through the origin.
-        d = _primitive(self.dir)
-        t = -(self.base.x * self.dir.x + self.base.y * self.dir.y) / dot(self.dir, self.dir)
-        foot = self.at(t)
-        return hash((d, foot))
-
-
 @dataclass(frozen=True)
 class Ray:
     origin: Point
@@ -232,92 +155,3 @@ class Ray:
     def __post_init__(self):
         if self.dir == Point(Rat(0), Rat(0)):
             raise ValueError("zero direction")
-
-    def at(self, t: Rat) -> Point:
-        return self.origin + self.dir.scale(t)
-
-
-class Pole:
-    """Distinguished outcome for evaluating a perspectivity at its pole."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Pole"
-
-
-POLE = Pole()
-
-
-@dataclass(frozen=True)
-class Perspectivity:
-    """Central projection from one directed line to another."""
-
-    source: DirectedLine
-    target: DirectedLine
-    center: Point
-
-    def __post_init__(self):
-        if self.source.same_line(self.target):
-            raise ValueError("source and target must be distinct lines")
-        if self.source.contains(self.center) or self.target.contains(self.center):
-            raise ValueError("center must avoid both lines")
-
-    def __call__(self, q: Point) -> Point | Pole:
-        return persp_eval(self, q)
-
-
-def persp_eval(p: Perspectivity, q: Point) -> Point | Pole:
-    """Image of q under the perspectivity: line(center, q) meet target.
-
-    Returns POLE when that line is parallel to the target.
-    """
-    if not p.source.contains(q):
-        raise ValueError("point not on the source line")
-    d = q - p.center  # nonzero: the center avoids the source
-    hit = line_intersection(p.center, d, p.target.base, p.target.dir)
-    if hit is None:
-        return POLE
-    return hit
-
-
-def persp_pole(p: Perspectivity) -> Point | None:
-    """The source point whose image is undefined, or None (affine case)."""
-    if cross(p.source.dir, p.target.dir) == 0:
-        return None
-    hit = line_intersection(p.source.base, p.source.dir, p.center, p.target.dir)
-    assert hit is not None
-    return hit
-
-
-@dataclass(frozen=True)
-class PerspClass:
-    kind: str  # "affine" | "preserving" | "reversing"
-    pole: Point | None
-
-
-def persp_classify(p: Perspectivity) -> PerspClass:
-    """Affine iff no pole; otherwise increasing/decreasing away from the pole.
-
-    The induced coordinate map is fractional linear, f(t) = (at+b)/(e(ct+d));
-    its monotonic direction is the sign of a*d - b*c.
-    """
-    pole = persp_pole(p)
-    if pole is None:
-        return PerspClass("affine", None)
-    s, t, o = p.source, p.target, p.center
-    c = cross(s.dir, t.dir)
-    d = cross(s.base - o, t.dir)
-    k = cross(t.base - o, t.dir)
-    cp = dot(s.dir, t.dir)
-    dp = dot(s.base - o, t.dir)
-    a = dot(o - t.base, t.dir) * c + k * cp
-    b = dot(o - t.base, t.dir) * d + k * dp
-    det = a * d - b * c
-    assert det != 0
-    return PerspClass("preserving" if det > 0 else "reversing", pole)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .geometry import Point, Rat, segment_contains, segment_param
-from .polygon import Polygon, co_contains
+from .polygon import Polygon
 
 
 @dataclass(frozen=True)
@@ -178,25 +178,3 @@ def script_to_matrix(s: MoveScript) -> tuple[Matrix, list[Matrix]]:
         D = mat_mul(K, D)
     return D, factors
 
-
-def decreasing_states(s: MoveScript) -> bool:
-    """Every pull-in shrinks (weakly) the hull along the replay."""
-    cur = s.start
-    for m in s.moves:
-        nxt = apply_pullin(cur, m)
-        if not co_contains(cur, nxt):
-            return False
-        cur = nxt
-    return True
-
-
-def commute_swap(first: PullIn, second: PullIn) -> tuple[PullIn, PullIn] | None:
-    """Swap two consecutive pull-ins when their elementary factors commute:
-    disjoint index pairs, or identical (mover, target) pairs.  The cases
-    mixing a mover with the other move's target are not supported and
-    return None."""
-    i, j = first.mover, first.target
-    k, l = second.mover, second.target
-    if {i, j} & {k, l} == set() or (i, j) == (k, l):
-        return (second, first)
-    return None

@@ -115,6 +115,23 @@ def _inscribe_onto(rec: _PushRecorder, Q: Polygon) -> None:
         rec.push(0, 1, push_landing(Q, cur.vertices[1], cur.vertices[0]))
 
 
+def _push_stray(rec: _PushRecorder, Q: Polygon, strays: list[int]) -> bool:
+    """Push the first stray that shares a closed edge of Q with another
+    vertex, its first such mate, to the end of that edge away from the mate.
+    False, and no push, when every stray is alone on its edges."""
+    cur = rec.current.vertices
+    for k in strays:
+        for i in range(Q.n):
+            a, b = Q.edge(i)
+            if not segment_contains(a, b, cur[k]):
+                continue
+            mate = next((m for m in range(len(cur)) if m != k and segment_contains(a, b, cur[m])), None)
+            if mate is not None:
+                rec.push(k, mate, edge_push_target(a, b, cur[mate], cur[k]))
+                return True
+    return False
+
+
 def _sweep_to_vertices(rec: _PushRecorder, Q: Polygon) -> None:
     """Move every vertex (already on the boundary of Q) to vertices of Q.
 
@@ -136,21 +153,7 @@ def _sweep_to_vertices(rec: _PushRecorder, Q: Polygon) -> None:
             raise PlannerError("sweep expects an inscribed polygon")
         if not strays:
             return
-        move = None
-        for k in strays:
-            for i in range(Q.n):
-                a, b = Q.edge(i)
-                if not segment_contains(a, b, cur[k]):
-                    continue
-                mates = [m for m in range(n) if m != k and segment_contains(a, b, cur[m])]
-                if mates:
-                    move = (k, mates[0], a, b)
-                    break
-            if move:
-                break
-        if move:
-            k, mate, a, b = move
-            rec.push(k, mate, edge_push_target(a, b, cur[mate], cur[k]))
+        if _push_stray(rec, Q, strays):
             continue
         # Every stray is stranded: use a double point at a vertex of Q.
         doubled = None
@@ -182,22 +185,8 @@ def _sweep_occupy_all(rec: _PushRecorder, P: Polygon) -> None:
         strays = [k for k in range(n) if cur[k] not in pverts]
         if not strays:
             break
-        move = None
-        for k in strays:
-            for i in range(n):
-                a, b = P.edge(i)
-                if not segment_contains(a, b, cur[k]):
-                    continue
-                mates = [m for m in range(n) if m != k and segment_contains(a, b, cur[m])]
-                if mates:
-                    move = (k, mates[0], a, b)
-                    break
-            if move:
-                break
-        if move is None:
+        if not _push_stray(rec, P, strays):
             raise PlannerError("occupancy sweep is stuck with stranded strays")
-        k, mate, a, b = move
-        rec.push(k, mate, edge_push_target(a, b, rec.current.vertices[mate], rec.current.vertices[k]))
     cur = rec.current.vertices
     if sorted(cur) != sorted(P.vertices):
         raise PlannerError("occupancy sweep did not reach every vertex")
@@ -460,7 +449,8 @@ def _plan_triangle(P: Polygon, Pp: Polygon) -> MoveScript:
                         if ns_t in seen:
                             continue
                         c = segment_param(a, b, q)
-                        assert c is not None and 0 <= c <= 1
+                        if c is None or not 0 <= c <= 1:
+                            raise PlannerError("triangle search left the pull-in segment")
                         npath = path + [PullIn(mover, anchor, c)]
                         if ns_t == goal:
                             return MoveScript(P, tuple(npath))

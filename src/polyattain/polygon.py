@@ -70,14 +70,6 @@ class Polygon:
     def is_collinear(self) -> bool:
         return collinear_points(list(self.vertices))
 
-    def area(self) -> Rat:
-        """Shoelace area; exact. Callers pass convex CCW polygons."""
-        s = Rat(0)
-        for i in range(self.n):
-            a, b = self.edge(i)
-            s += a.x * b.y - b.x * a.y
-        return s / 2
-
     def replace(self, i: int, p: Point) -> "Polygon":
         vs = list(self.vertices)
         vs[i % self.n] = p
@@ -95,9 +87,6 @@ class Polygon:
             if t is not None and 0 <= t < 1:
                 return BoundaryPoint(self, i, t)
         return None
-
-    def boundary_point(self, i: int, t: Rat) -> "BoundaryPoint":
-        return BoundaryPoint(self, i, t)
 
     def __repr__(self) -> str:
         return "Polygon[" + ", ".join(map(repr, self.vertices)) + "]"
@@ -183,9 +172,6 @@ class BoundaryPoint:
         if self.t == 0:
             return a
         return a + (b - a).scale(self.t)
-
-    def is_vertex(self) -> bool:
-        return self.t == 0
 
     def __repr__(self) -> str:
         return f"∂[{self.edge}:{self.t}]{self.realize()!r}"
@@ -276,16 +262,6 @@ def boundary_key(anchor: BoundaryPoint, z: BoundaryPoint) -> tuple[int, Rat]:
             return (0, z.t - anchor.t)
         return (n, z.t)
     return (d, z.t)
-
-
-def arc_cmp(anchor: BoundaryPoint, a: BoundaryPoint, b: BoundaryPoint) -> int:
-    """-1, 0, +1 as a precedes, equals, or follows b travelling CCW from the anchor."""
-    ka, kb = boundary_key(anchor, a), boundary_key(anchor, b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 def in_arc(

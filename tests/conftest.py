@@ -1,10 +1,8 @@
 import random
 import zlib
-from fractions import Fraction
 
 import pytest
 
-from polyattain.geometry import Point
 from polyattain.polygon import polygon
 
 
@@ -34,9 +32,3 @@ def rng_for(name: str) -> random.Random:
     instances whatever the process's PYTHONHASHSEED."""
     return random.Random(zlib.crc32(name.encode()))
 
-
-def rational_point(rng: random.Random, spread: int = 10, den: int = 6) -> Point:
-    return Point(
-        Fraction(rng.randint(-spread, spread), rng.randint(1, den)),
-        Fraction(rng.randint(-spread, spread), rng.randint(1, den)),
-    )

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -178,6 +179,59 @@ def test_decide_batch_jobs(sq_path, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("verdict:") == 2
     assert out.index(sq_path.split("/")[-1]) < out.index("deg.json")
+
+
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["serial", "jobs-2"])
+def test_decide_batch_reports_each_bad_file(sq_path, tmp_path, capsys, jobs):
+    """A bad file costs only its own verdict: the good reports come out in
+    input order, each bad file gets one `error: <path>: ...` line, and the
+    exit code is 2."""
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{")
+    outside = tmp_path / "outside.json"
+    outside.write_text(json.dumps({"P": SQ["P"], "Pprime": [[0, 0], [1, 0], [1, 1], [0, 2]]}))
+    missing = tmp_path / "missing.json"
+    paths = [str(malformed), sq_path, str(missing), str(outside), sq_path]
+    with pytest.raises(SystemExit) as e:
+        run_cli(["decide", *paths, *jobs])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [line for line in lines if line.startswith(("== ", "verdict:"))] == [
+        f"== {sq_path}", "verdict: AttainableVestibule"
+    ] * 2
+    errors = captured.err.splitlines()
+    assert [line.split(": ")[:2] for line in errors] == [
+        ["error", str(malformed)], ["error", str(missing)], ["error", str(outside)]
+    ]
+    assert errors[2] == f"error: {outside}: containment violated"
+
+
+@pytest.mark.parametrize("args, unbuffered", [
+    (["gen", "--n", "64"], True),
+    (["gen", "--n", "64"], False),
+    (["decide", "{sq}", "{missing}"], False),
+], ids=["print", "final-flush", "batch-exit-2"])
+def test_closed_pipe_ends_without_traceback(args, unbuffered, sq_path, tmp_path):
+    """A reader that leaves before the CLI writes costs exit code 1 and no
+    traceback, whether the print itself fails (unbuffered stdout), the
+    final flush fails, or the flush precedes the exit code 2 of a batch
+    with a bad file."""
+    args = [a.format(sq=sq_path, missing=tmp_path / "missing.json") for a in args]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "polyattain.cli", *args],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr and "BrokenPipeError" not in out.stderr
 
 
 def test_serialization_round_trips(square, inner_square):

@@ -178,16 +178,13 @@ def test_maximal_degenerate_hulls_agree():
 
 def test_witness_check_survives_optimize_flag():
     """With the predicate behind each explicit check patched to fail, every
-    degenerate branch raises WitnessError, and the BLC length bound, the
-    maximal-degenerate invariants and both checks of a tangent step raise
-    InvariantError, even under `python -O`, where assert statements vanish."""
+    degenerate branch raises WitnessError; the BLC length bound, the
+    maximal-degenerate invariants, both checks of a tangent step and the
+    edge push raise InvariantError; and the triangle search raises
+    PlannerError, even under `python -O`, where assert statements vanish."""
     child = textwrap.dedent("""
-        from importlib import import_module
-
-        from polyattain import degeneracy
+        from polyattain import degeneracy, planners, poncelet
         from polyattain.polygon import BoundaryPoint, InvariantError, polygon
-
-        poncelet = import_module("polyattain.poncelet")  # the package exports a function of that name
 
         assert not __debug__
         square = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -198,7 +195,7 @@ def test_witness_check_survives_optimize_flag():
         def expect(run):
             try:
                 run()
-            except (degeneracy.WitnessError, InvariantError):
+            except (degeneracy.WitnessError, InvariantError, planners.PlannerError):
                 print("raised")
             else:
                 print("accepted")
@@ -240,10 +237,21 @@ def test_witness_check_survives_optimize_flag():
         poncelet.forward_sign = lambda a, b, c: 0
         expect(lambda: poncelet.right_tangent(square, on_edge, BoundaryPoint(square, 0, "1/4")))
         poncelet.forward_sign = forward
+
+        # a pair on one edge whose parameters cannot be read, and a triangle
+        # search whose pull-in parameters cannot be read
+        param = degeneracy.segment_param
+        degeneracy.segment_param = lambda a, b, q: None
+        mates = polygon([("1/4", 0), ("1/2", 0), ("1/2", "1/2")]).vertices[:2]
+        expect(lambda: degeneracy.edge_push_target(*square.edge(0), *mates))
+        degeneracy.segment_param = param
+        planners.segment_param = lambda a, b, q: None
+        thin = polygon([("1/4", "1/4"), ("1/2", "1/2"), ("3/4", "3/4")])
+        expect(lambda: planners._plan_triangle(polygon([(0, 0), (1, 0), (0, 1)]), thin))
     """)
     src = os.path.dirname(os.path.dirname(polyattain.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-O", "-c", child], capture_output=True, text=True,
                          env=env, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["raised"] * 8
+    assert out.stdout.split() == ["raised"] * 10

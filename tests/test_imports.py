@@ -1,11 +1,29 @@
-"""Every module-level import in src/ and tests/ is used.  The project
-depends on no linter, so this AST scan stands in for an unused-import rule."""
+"""Every module-level import in src/ and tests/ is used, and every public
+name in src/ is used by the library itself or kept for a stated reason.
+The project depends on no linter, so these AST scans stand in for its
+rules."""
 
 import ast
+import inspect
 from pathlib import Path
+
+import polyattain
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+# Public names nothing else in src/ reads, and why each stays.
+KEPT = {
+    "attainability.threshold_test": "acceptance criteria 1 and 9 test the threshold test alone",
+    "gen.random_boundary_point": "draws the boundary starts of acceptance criteria 2 to 5",
+    "gen.random_interior_inner": "draws the all-interior inner polygons of acceptance criterion 3",
+    "kernels.BACKEND": "perfbench/run.py records it and perfbench/compare.py checks it",
+    "moves.mat_apply": "the D*P = P' oracle of acceptance criterion 8",
+    "moves.replay": "the D*P = P' oracle of acceptance criterion 8",
+    "polygon.polygon": "builds a polygon from coordinates for perfbench/ and the tests",
+    "poncelet.gamma_sets": "acceptance criterion 1 and tests/test_poncelet.py test the juncture "
+    "sets, and the tabulated Poncelet map of ROADMAP item 2 reads Gamma_2 from them",
+}
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -36,3 +54,42 @@ def test_no_unused_module_level_imports():
         if unused:
             found[str(path.relative_to(ROOT))] = unused
     assert found == {}
+
+
+def _public_definitions(tree: ast.Module) -> list[str]:
+    """Public module-level names and public methods (as Class.method)."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{f.name}" for f in node.body
+                      if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+    return [n for n in names if not n.startswith("_")]
+
+
+def test_public_names_are_used_in_src():
+    """A public name counts as used when some module of src/ other than
+    __init__.py (which only re-exports) reads it as a name or an attribute."""
+    modules = {p.stem: ast.parse(p.read_text(), str(p))
+               for p in sorted((ROOT / "src" / "polyattain").glob("*.py")) if p.name != "__init__.py"}
+    read = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unused = {f"{stem}.{name}" for stem, tree in modules.items()
+              for name in _public_definitions(tree) if name.split(".")[-1] not in read}
+    assert sorted(unused - KEPT.keys()) == []
+    assert sorted(KEPT.keys() - unused) == []  # a kept name that gained a caller leaves the table
+
+
+def test_package_does_not_shadow_its_submodules():
+    assert inspect.ismodule(polyattain.polygon)
+    assert inspect.ismodule(polyattain.poncelet)

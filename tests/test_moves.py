@@ -9,8 +9,6 @@ from polyattain.moves import (
     PushOut,
     apply_pullin,
     apply_pushout,
-    commute_swap,
-    decreasing_states,
     elementary_matrix,
     identity_matrix,
     invert_pushout,
@@ -105,19 +103,6 @@ def test_equal_index_factors_merge():
     ) == elementary_matrix(4, 1, 0, Fraction(3, 4))
 
 
-def test_commute_swap_cases():
-    a = PullIn(1, 0, Fraction(1, 2))
-    b = PullIn(3, 2, Fraction(1, 3))
-    swapped = commute_swap(a, b)
-    assert swapped == (b, a)
-    K = lambda m: elementary_matrix(4, m.mover, m.target, m.c)
-    assert mat_mul(K(b), K(a)) == mat_mul(K(a), K(b))
-    same = commute_swap(a, PullIn(1, 0, Fraction(1, 2)))
-    assert same == (PullIn(1, 0, Fraction(1, 2)), a)
-    assert commute_swap(PullIn(1, 0, Fraction(1, 2)), PullIn(0, 2, Fraction(1, 3))) is None
-    assert commute_swap(PullIn(1, 0, Fraction(1, 2)), PullIn(2, 1, Fraction(1, 3))) is None
-
-
 def test_random_scripts_match_matrices():
     from polyattain.gen import random_convex_polygon, random_script
 
@@ -129,16 +114,18 @@ def test_random_scripts_match_matrices():
         assert is_stochastic(D)
         assert all(is_stochastic(K) for K in factors)
         assert mat_apply(D, P) == replay(s)
-        assert decreasing_states(s)
 
 
 def test_pullin_states_decrease(square):
     rng = rng_for("decreasing")
-    from polyattain.gen import random_script
+    from itertools import chain
 
-    for _ in range(60):
-        s = random_script(rng, square, 6)
-        cur = square
+    from polyattain.gen import random_convex_polygon, random_script
+
+    drawn = (random_convex_polygon(rng, n) for n in range(3, 7) for _ in range(30))
+    for P in chain([square] * 60, drawn):
+        s = random_script(rng, P, 6)
+        cur = P
         for m in s.moves:
             nxt = apply_pullin(cur, m)
             assert co_contains(cur, nxt)
