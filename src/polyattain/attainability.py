@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .degeneracy import is_degenerate
+from .geometry import Point
 from .moves import PushOut, relabel
 from .planners import PlanOutcome, finish_plan, plan_degenerate, plan_threshold, plan_vestibule
 from .polygon import (
@@ -38,7 +39,7 @@ class RejectionRecord:
 
     vertex: int
     pusher: int | None
-    landing: object
+    landing: Point
     why: str
     failed_runs: tuple[BlcResult, ...] = field(default_factory=tuple)
 

@@ -1,11 +1,14 @@
 """Command line interface.
 
 Subcommands: decide | blc | degeneracy | plan | verify | matrix | gen.
-Exit codes: 0 for a completed decision (whatever the verdict), 1 for a
-failed verification, an unplannable request or an output pipe closed by
-its reader, 2 for malformed input (in a `decide` batch, for any bad file).
-A failed internal check (PlannerError, InvariantError, WitnessError) is
-reported as `error: ...` with exit code 1, never as a traceback.
+The subcommands raise; `main` alone turns an exception into one
+`error: <message>` line on stderr and an exit code, never a traceback.
+A message about an input file starts with its path, `error: <path>: ...`.
+Exit codes: 0 for a completed decision (whatever the verdict); 1 for a
+failed verification, an unplannable request, a failed internal check
+(PlannerError, InvariantError, WitnessError) or an output pipe closed by
+its reader (silently); 2 for bad input or an unwritable output path (any
+other OSError or ValueError; in a `decide` batch, for any bad file).
 """
 
 from __future__ import annotations
@@ -24,31 +27,15 @@ from .gen import MODES, generate
 from .geometry import Point
 from .moves import is_stochastic, script_to_matrix, verify_script
 from .planners import PlannerError
-from .polygon import BoundaryPoint, InvariantError, Polygon
+from .polygon import BoundaryPoint, InvariantError, Polygon, canonicalize_ccw, co_contains
 from .poncelet import blc
 from .svg import render_instance
-
-
-def _fail(msg: str) -> "NoReturn":  # noqa: F821
-    print(f"error: {msg}", file=sys.stderr)
-    sys.exit(2)
-
-
-def _load_instance(path: str):
-    try:
-        return pio.load_instance(path)
-    except (OSError, pio.FormatError) as e:
-        _fail(str(e))
-
-
-def _decimal(q: Fraction) -> float:
-    return float(q)
 
 
 def _point_json(p: Point, decimal: bool):
     out = pio.format_point(p)
     if decimal:
-        return {"exact": out, "approx": [_decimal(p.x), _decimal(p.y)]}
+        return {"exact": out, "approx": [float(p.x), float(p.y)]}
     return out
 
 
@@ -84,9 +71,7 @@ def _verdict_report(P, Pp, verdict, want_matrix: bool, decimal: bool, elapsed: f
             {
                 "vertex": r.vertex + 1,
                 "pusher": None if r.pusher is None else r.pusher + 1,
-                "landing": pio.format_point(r.landing)
-                if isinstance(r.landing, Point)
-                else str(r.landing),
+                "landing": pio.format_point(r.landing),
                 "why": r.why,
                 "failed_runs": [
                     [pio.format_point(b.realize()) for b in run.points]
@@ -142,14 +127,14 @@ def _print_report(report: dict, as_json: bool) -> None:
 
 def _decide_one(args_tuple) -> tuple[dict | None, str | None]:
     """(report, None) for a decided file, (None, message) for one that
-    cannot be read or violates containment."""
+    cannot be read or violates containment; the message names the path once."""
     path, plan_flag, matrix_flag, decimal = args_tuple
     try:
         P, Pp, _ = pio.load_instance(path)
         t0 = time.perf_counter()
         verdict = decide(P, Pp, plan_moves=plan_flag)
-    except (OSError, ValueError) as e:
-        return None, str(e)
+    except ValueError as e:  # a FormatError of the loader already names the path
+        return None, str(e) if isinstance(e, pio.FormatError) else f"{path}: {e}"
     return _verdict_report(P, Pp, verdict, matrix_flag, decimal, time.perf_counter() - t0), None
 
 
@@ -167,7 +152,7 @@ def cmd_decide(args) -> int:
     failed = False
     for path, (report, error) in zip(args.instance, results):
         if error is not None:
-            print(f"error: {path}: {error}", file=sys.stderr)
+            print(f"error: {error}", file=sys.stderr)
             failed = True
             continue
         if len(args.instance) > 1:
@@ -179,41 +164,33 @@ def cmd_decide(args) -> int:
 
 
 def _parse_start(P: Polygon, text: str) -> BoundaryPoint:
-    if ":" in text:
-        e, t = text.split(":", 1)
-        try:
-            edge = int(e)
-            tq = Fraction(t)
-        except ValueError:
-            _fail(f"bad start {text!r}; use edge:t or x,y")
-        if not 1 <= edge <= P.n or not 0 <= tq < 1:
-            _fail(f"start {text!r} out of range")
-        return BoundaryPoint(P, edge - 1, tq)
-    if "," in text:
-        xs, ys = text.split(",", 1)
-        try:
-            p = Point(Fraction(xs), Fraction(ys))
-        except ValueError:
-            _fail(f"bad start point {text!r}")
-        bp = P.locate_boundary(p)
-        if bp is None:
-            _fail(f"start {text!r} is not on the boundary of P")
-        return bp
-    _fail(f"bad start {text!r}; use edge:t or x,y")
+    """The boundary point of P named `edge:t` (1-based edge) or `x,y`."""
+    on_edge = ":" in text
+    head, _, tail = text.partition(":" if on_edge else ",")
+    try:
+        a, b = (int(head) if on_edge else Fraction(head)), Fraction(tail)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad start {text!r}; use edge:t or x,y") from None
+    if on_edge:
+        if not 1 <= a <= P.n or not 0 <= b < 1:
+            raise ValueError(f"start {text!r} out of range")
+        return BoundaryPoint(P, a - 1, b)
+    bp = P.locate_boundary(Point(a, b))
+    if bp is None:
+        raise ValueError(f"start {text!r} is not on the boundary of P")
+    return bp
 
 
 def cmd_blc(args) -> int:
-    P, Pp, _ = _load_instance(args.instance)
-    from .polygon import canonicalize_ccw, co_contains
-
+    P, Pp, _ = pio.load_instance(args.instance)
     if not co_contains(P, Pp):
-        _fail("containment violated")
+        raise ValueError("containment violated")
     canon = canonicalize_ccw(P)
     if canon is None:
-        _fail("P must be set-convex for the broken line construction")
+        raise ValueError("P must be set-convex for the broken line construction")
     Pc, _ = canon
     if Pp.is_collinear:
-        _fail("Pprime must not be collinear")
+        raise ValueError("Pprime must not be collinear")
     start = _parse_start(Pc, args.start)
     res = blc(Pc, Pp, start, "cw" if args.cw else "ccw")
     report = {
@@ -238,11 +215,8 @@ def cmd_blc(args) -> int:
 
 
 def cmd_degeneracy(args) -> int:
-    P, Pp, _ = _load_instance(args.instance)
-    try:
-        v = is_degenerate(P, Pp)
-    except ValueError as e:
-        _fail(str(e))
+    P, Pp, _ = pio.load_instance(args.instance)
+    v = is_degenerate(P, Pp)
     report = {
         "degenerate": v.degenerate,
         "reason": v.reason,
@@ -258,11 +232,7 @@ def cmd_degeneracy(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    P, Pp, _ = _load_instance(args.instance)
-    from .polygon import co_contains
-
-    if not co_contains(P, Pp):
-        _fail("containment violated")
+    P, Pp, _ = pio.load_instance(args.instance)
     verdict = decide(P, Pp, plan_moves=True)
     if verdict.plan is None:
         print(f"verdict: {verdict.status}; no plan exists", file=sys.stderr)
@@ -278,11 +248,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    P, Pp, _ = _load_instance(args.instance)
-    try:
-        script = pio.load_script(args.script)
-    except (OSError, pio.FormatError) as e:
-        _fail(str(e))
+    P, Pp, _ = pio.load_instance(args.instance)
+    script = pio.load_script(args.script)
     if script.start != P:
         print("fail: script start differs from instance P")
         return 1
@@ -295,10 +262,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    try:
-        script = pio.load_script(args.script)
-    except (OSError, pio.FormatError) as e:
-        _fail(str(e))
+    script = pio.load_script(args.script)
     D, factors = script_to_matrix(script)
     report = {
         "product": pio.format_matrix(D),
@@ -310,13 +274,15 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.n < 3:
+        raise ValueError("n must be at least 3")
     seed = args.seed
     env = os.environ.get("POLYATTAIN_SEED")
     if env is not None:
         try:
             seed = int(env)
         except ValueError:
-            _fail(f"bad POLYATTAIN_SEED {env!r}")
+            raise ValueError(f"bad POLYATTAIN_SEED {env!r}") from None
     rng = random.Random(seed)
     P, Pp, meta = generate(rng, args.n, args.mode)
     meta.update({"mode": args.mode, "seed": seed, "name": f"{args.mode}-n{args.n}-s{seed}"})
@@ -384,21 +350,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "n", None) is not None and args.command == "gen" and args.n < 3:
-        _fail("n must be at least 3")
     try:
         try:
             return args.func(args)
         finally:
             sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-    except (PlannerError, InvariantError, WitnessError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so before the exit-2 clause
         # The reader went away: drop what is left for stdout instead of
         # failing again when the interpreter flushes it on exit.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except (PlannerError, InvariantError, WitnessError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    except (OSError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from itertools import accumulate
 from math import gcd
 
 from .geometry import Point, Rat
-from .moves import MoveScript, PullIn, apply_pullin
+from .moves import MoveScript, PullIn, replay
 from .polygon import Polygon
 
 MODES = ("random", "scripted", "degenerate")
@@ -115,10 +115,7 @@ def generate(rng: random.Random, n: int, mode: str) -> tuple[Polygon, Polygon, d
         return P, random_inner(rng, P), {}
     if mode == "scripted":
         script = random_script(rng, P, rng.randint(1, 2 * n))
-        Pp = P
-        for m in script.moves:
-            Pp = apply_pullin(Pp, m)
-        return P, Pp, {"script_length": len(script.moves)}
+        return P, replay(script), {"script_length": len(script.moves)}
     sub = list(range(n))
     sub.remove(rng.randrange(n))
     # At n = 3 the n-1 vertices span a segment, and the packed inner

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .geometry import Point, Rat
 from .moves import MoveScript, PullIn
@@ -17,7 +17,7 @@ from .polygon import Polygon
 
 
 class FormatError(ValueError):
-    """Malformed instance or script input."""
+    """Malformed instance or script input, or a file that cannot be read."""
 
 
 def parse_rat(v: Any, where: str = "") -> Rat:
@@ -79,19 +79,28 @@ def format_instance(P: Polygon, Pp: Polygon, meta: dict | None = None) -> dict:
     return out
 
 
+def _load(path: str, parse: Callable[[Any], Any]) -> Any:
+    """parse() of the JSON document at path; any read or parse error is a
+    FormatError that names the path once, as `<path>: <reason>`."""
+    try:
+        with open(path) as f:
+            return parse(json.load(f))
+    except OSError as e:
+        raise FormatError(f"{path}: {e.strerror}") from None
+    except json.JSONDecodeError as e:
+        raise FormatError(f"{path}: invalid JSON: {e}") from None
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from None
+
+
 def load_instance(path: str) -> tuple[Polygon, Polygon, dict]:
-    with open(path) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"invalid JSON in {path}: {e}") from None
-    return parse_instance(data)
+    return _load(path, parse_instance)
 
 
 def parse_script(data: Any) -> MoveScript:
     """{"start": [...], "moves": [{"i": 2, "j": 1, "c": "1/2"}, ...]}."""
-    if not isinstance(data, dict) or "start" not in data or "moves" not in data:
-        raise FormatError("script needs fields start and moves")
+    if not isinstance(data, dict) or "start" not in data or not isinstance(data.get("moves"), list):
+        raise FormatError("script needs fields start and moves (a list)")
     start = parse_polygon(data["start"], "start")
     moves = []
     for k, mv in enumerate(data["moves"]):
@@ -121,12 +130,7 @@ def format_script(s: MoveScript) -> dict:
 
 
 def load_script(path: str) -> MoveScript:
-    with open(path) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"invalid JSON in {path}: {e}") from None
-    return parse_script(data)
+    return _load(path, parse_script)
 
 
 def format_matrix(D) -> list:

@@ -39,13 +39,11 @@ from .polygon import (
 DEGENERATE_LT_5N = "DegenerateLt5n"
 THRESHOLD_2N_MINUS_1 = "Threshold2nMinus1"
 VESTIBULE_2N = "Vestibule2n"
-DIRECT_SHORT = "DirectShort"
 
 _BOUND = {
     DEGENERATE_LT_5N: lambda n, k: k < 5 * n,
     THRESHOLD_2N_MINUS_1: lambda n, k: k <= 2 * n - 1,
     VESTIBULE_2N: lambda n, k: k <= 2 * n,
-    DIRECT_SHORT: lambda n, k: k <= 2 * n,
 }
 
 
@@ -137,20 +135,19 @@ def _sweep_to_vertices(rec: _PushRecorder, Q: Polygon) -> None:
 
     Strays sharing a closed edge with another vertex are pushed to the far
     endpoint; once every stray is stranded, a double point at some vertex
-    of Q unstrands them two moves at a time.
+    of Q unstrands them two moves at a time.  Every push lands on a vertex
+    of Q, so the polygon stays inscribed and the strays are the vertices
+    not at a vertex of Q.
     """
     n = rec.current.n
+    if any(Q.locate_boundary(v) is None for v in rec.current.vertices):
+        raise PlannerError("sweep expects an inscribed polygon")
     qverts = list(Q.vertices)
     budget = 3 * n  # hard stop against planner bugs
     while budget > 0:
         budget -= 1
         cur = rec.current.vertices
-        strays = [
-            k for k in range(n)
-            if cur[k] not in qverts and Q.locate_boundary(cur[k]) is not None
-        ]
-        if any(Q.locate_boundary(cur[k]) is None for k in range(n)):
-            raise PlannerError("sweep expects an inscribed polygon")
+        strays = [k for k in range(n) if cur[k] not in qverts]
         if not strays:
             return
         if _push_stray(rec, Q, strays):

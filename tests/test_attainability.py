@@ -11,7 +11,7 @@ from polyattain.attainability import (
     threshold_test,
     vestibule_test,
 )
-from polyattain.gen import generate, random_convex_polygon, random_script
+from polyattain.gen import MODES, generate, random_convex_polygon, random_script
 from polyattain.geometry import Point, pt
 from polyattain.moves import replay, verify_script
 from polyattain.polygon import Polygon, co_contains, polygon
@@ -183,3 +183,32 @@ def test_rejections_have_no_reachable_counterexample(square):
         s = random_script(rng, square, rng.randint(1, 6))
         end = replay(s)
         assert not (co_contains(end, Pp) and end == Pp)
+
+
+SYMMETRIES = {
+    "relabel": lambda Q: Polygon(Q.vertices[1:] + Q.vertices[:1]),
+    "affine": lambda Q: Polygon(tuple(
+        Point(2 * v.x + v.y + Fraction(1, 3), v.x + 3 * v.y - 2) for v in Q.vertices
+    )),
+    "reflect": lambda Q: Polygon(tuple(Point(-v.x, v.y) for v in Q.vertices)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIES))
+def test_verdict_invariant_under_symmetries(name, square):
+    """A cyclic relabeling of both polygons, an orientation-preserving
+    rational affine map (determinant 5) and a reflection leave the verdict
+    as it is, on every gen mode and on rotated shrinks that are rejected."""
+    rng = rng_for("verdict-invariance")
+    cases = [generate(rng, n, mode)[:2] for mode in MODES for n in range(4, 8) for _ in range(5)]
+    hexagon = polygon([(0, 0), (2, 0), (3, 1), (2, 2), (0, 2), (-1, 1)])
+    triangle = polygon([(0, 0), (1, 0), (0, 1)])
+    cases += [(square, shrink_rotate(square, 99, 100, rot)) for rot in range(4)]
+    cases += [(hexagon, shrink_rotate(hexagon, 9, 10, 1)), (triangle, shrink_rotate(triangle, 9, 10, 1))]
+    sym = SYMMETRIES[name]
+    seen = set()
+    for P, Pp in cases:
+        status = decide(P, Pp).status
+        assert decide(sym(P), sym(Pp)).status == status, (P, Pp)
+        seen.add(status)
+    assert seen == {ATTAINABLE_DEGENERATE, ATTAINABLE_VESTIBULE, UNATTAINABLE, UNKNOWN_N3}

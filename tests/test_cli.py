@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import polyattain
 from polyattain import io as pio
 from polyattain.cli import main
 from polyattain.gen import MODES
@@ -30,6 +31,13 @@ def sq_path(tmp_path):
 
 def run_cli(args):
     return main(args)
+
+
+def child_env() -> dict:
+    """The environment for a CLI child process, with the tested package's
+    directory first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(polyattain.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def test_decide_json(sq_path, capsys):
@@ -162,7 +170,7 @@ def test_gen_scales_to_n_64(tmp_path):
         path = tmp_path / f"{mode}.json"
         out = subprocess.run(
             [sys.executable, "-m", "polyattain.cli", "gen", "--n", "64", "--mode", mode, "-o", str(path)],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, env=child_env(), timeout=60,
         )
         assert out.returncode == 0, out.stderr
         P, Pp, _ = pio.load_instance(str(path))
@@ -207,18 +215,20 @@ def test_decide_batch_reports_each_bad_file(sq_path, tmp_path, capsys, jobs):
     assert errors[2] == f"error: {outside}: containment violated"
 
 
-@pytest.mark.parametrize("args, unbuffered", [
-    (["gen", "--n", "64"], True),
-    (["gen", "--n", "64"], False),
-    (["decide", "{sq}", "{missing}"], False),
+@pytest.mark.parametrize("args, unbuffered, err", [
+    (["gen", "--n", "64"], True, ""),
+    (["gen", "--n", "64"], False, ""),
+    (["decide", "{sq}", "{missing}"], False, "error: {missing}: No such file or directory\n"),
 ], ids=["print", "final-flush", "batch-exit-2"])
-def test_closed_pipe_ends_without_traceback(args, unbuffered, sq_path, tmp_path):
+def test_closed_pipe_ends_without_traceback(args, unbuffered, err, sq_path, tmp_path):
     """A reader that leaves before the CLI writes costs exit code 1 and no
     traceback, whether the print itself fails (unbuffered stdout), the
     final flush fails, or the flush precedes the exit code 2 of a batch
     with a bad file."""
-    args = [a.format(sq=sq_path, missing=tmp_path / "missing.json") for a in args]
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    missing = tmp_path / "missing.json"
+    args = [a.format(sq=sq_path, missing=missing) for a in args]
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
@@ -231,7 +241,62 @@ def test_closed_pipe_ends_without_traceback(args, unbuffered, sq_path, tmp_path)
     finally:
         os.close(write_end)
     assert out.returncode == 1
-    assert "Traceback" not in out.stderr and "BrokenPipeError" not in out.stderr
+    assert out.stderr == err.format(missing=missing)  # nothing else, so the child ran the CLI
+
+
+BAD_INSTANCES = {
+    "missing": None,
+    "invalid-json": "{",
+    "zero-denominator": json.dumps(dict(SQ, P=[["1/0", 0], *SQ["P"][1:]])),
+    "vertex-count": json.dumps(dict(SQ, Pprime=SQ["Pprime"][:3])),
+}
+BAD_SCRIPTS = {
+    "missing": None,
+    "invalid-json": "{",
+    "zero-denominator": json.dumps({"start": [["1/0", 0], *SQ["P"][1:]], "moves": []}),
+    "move-index": json.dumps({"start": SQ["P"], "moves": [{"i": 9, "j": 1, "c": "1/2"}]}),
+    "moves-not-a-list": json.dumps({"start": SQ["P"], "moves": 5}),
+}
+BAD_FILE_COMMANDS = [
+    ("decide", ["decide", "{bad}"], BAD_INSTANCES),
+    ("decide-batch", ["decide", "{sq}", "{bad}"], BAD_INSTANCES),
+    ("blc", ["blc", "{bad}", "--start", "0,0"], BAD_INSTANCES),
+    ("degeneracy", ["degeneracy", "{bad}"], BAD_INSTANCES),
+    ("plan", ["plan", "{bad}"], BAD_INSTANCES),
+    ("verify-instance", ["verify", "{bad}", "{script}"], BAD_INSTANCES),
+    ("verify-script", ["verify", "{sq}", "{bad}"], BAD_SCRIPTS),
+    ("matrix", ["matrix", "{bad}"], BAD_SCRIPTS),
+]
+
+
+@pytest.mark.parametrize("args, text", [
+    pytest.param(args, text, id=f"{name}-{kind}")
+    for name, args, files in BAD_FILE_COMMANDS for kind, text in files.items()
+] + [
+    pytest.param(["blc", "{sq}", "--start", "1:1/0"], None, id="blc-start-edge-1/0"),
+    pytest.param(["blc", "{sq}", "--start", "1/0,0"], None, id="blc-start-point-1/0"),
+    pytest.param(["gen", "-o", "{out}"], None, id="gen-out-missing-dir"),
+    pytest.param(["plan", "{sq}", "-o", "{out}"], None, id="plan-out-missing-dir"),
+    pytest.param(["blc", "{sq}", "--start", "0,0", "--svg", "{out}"], None, id="blc-svg-missing-dir"),
+])
+def test_bad_input_is_one_error_line(args, text, sq_path, tmp_path, capsys):
+    """Bad input or an unwritable output path is exit code 2 with exactly
+    one `error: ...` line on stderr, which names the file at fault once.
+    `text` is the content of the bad file, None for a missing one."""
+    bad, out = tmp_path / "bad.json", tmp_path / "missing-dir" / "out.json"
+    if text is not None:
+        bad.write_text(text)
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"start": SQ["P"], "moves": []}))
+    fault = bad if "{bad}" in args else out if "{out}" in args else None
+    args = [a.format(sq=sq_path, bad=bad, out=out, script=script) for a in args]
+    with pytest.raises(SystemExit) as e:
+        run_cli(args)
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    if fault is not None:
+        assert err.count(str(fault)) == 1, err
 
 
 def test_serialization_round_trips(square, inner_square):
@@ -266,7 +331,7 @@ def test_svg_deterministic(square, inner_square):
 def test_console_entry_point(sq_path):
     out = subprocess.run(
         [sys.executable, "-m", "polyattain.cli", "decide", sq_path],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert out.returncode == 0
     assert "AttainableVestibule" in out.stdout

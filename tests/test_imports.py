@@ -19,7 +19,6 @@ KEPT = {
     "gen.random_interior_inner": "draws the all-interior inner polygons of acceptance criterion 3",
     "kernels.BACKEND": "perfbench/run.py records it and perfbench/compare.py checks it",
     "moves.mat_apply": "the D*P = P' oracle of acceptance criterion 8",
-    "moves.replay": "the D*P = P' oracle of acceptance criterion 8",
     "polygon.polygon": "builds a polygon from coordinates for perfbench/ and the tests",
     "poncelet.gamma_sets": "acceptance criterion 1 and tests/test_poncelet.py test the juncture "
     "sets, and the tabulated Poncelet map of ROADMAP item 2 reads Gamma_2 from them",
