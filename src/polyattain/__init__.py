@@ -1,8 +1,8 @@
 """Exact decision procedures and move planners for decreasing paths of polygons."""
 
 from .attainability import Verdict, decide, threshold_test, vestibule_test
-from .degeneracy import DegeneracyVerdict, is_degenerate, maximal_degenerate_extend
-from .geometry import Point, Rat, Ray, pt, rat
+from .degeneracy import DegeneracyVerdict, is_degenerate
+from .geometry import Point, Rat, pt, rat
 from .moves import (
     MoveScript,
     PullIn,
@@ -13,7 +13,13 @@ from .moves import (
     script_to_matrix,
     verify_script,
 )
-from .planners import PlanOutcome, plan_degenerate, plan_threshold, plan_vestibule
+from .planners import (
+    PlanOutcome,
+    maximal_degenerate_extend,
+    plan_degenerate,
+    plan_threshold,
+    plan_vestibule,
+)
 from .polygon import BoundaryPoint, Polygon, canonicalize_ccw, co_contains
 from .poncelet import BlcResult, blc, gamma_sets, poncelet_cw, right_tangent
 
@@ -28,7 +34,6 @@ __all__ = [
     "PullIn",
     "PushOut",
     "Rat",
-    "Ray",
     "Verdict",
     "apply_pullin",
     "apply_pushout",

@@ -161,13 +161,10 @@ def decide(P: Polygon, Pp: Polygon, plan_moves: bool = False) -> Verdict:
     if found is not None:
         plan = None
         if plan_moves:
-            if found.pushout is None:
-                tplan = plan_threshold(Pc, Ppc, found.vertex, found.cert)
-                plan = plan_vestibule(Pc, Ppc, None, tplan)
-            else:
-                pushed = Ppc.replace(found.vertex, found.pushout.landing)
-                tplan = plan_threshold(Pc, pushed, found.vertex, found.cert)
-                plan = plan_vestibule(Pc, Ppc, found.pushout, tplan)
+            push = found.pushout
+            pushed = Ppc if push is None else Ppc.replace(found.vertex, push.landing)
+            tplan = plan_threshold(Pc, pushed, found.vertex, found.cert)
+            plan = plan_vestibule(Pc, Ppc, push, tplan)
             plan = finish_plan(relabel(plan.script, P, sigma), Pp, plan.bound_class)
         return Verdict(ATTAINABLE_VESTIBULE, found, plan, audit)
     if P.n == 3:

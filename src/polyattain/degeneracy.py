@@ -1,10 +1,13 @@
-"""Degenerate-containment decision and maximal-degenerate constructions."""
+"""The degenerate-containment decision: is_degenerate, its test points,
+and the certification of the witness it returns.  Building a maximal
+degenerate polygon from a witness is a push-out construction and lives in
+planners."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Point, Rat, orient, segment_contains, segment_param
+from .geometry import Point, Rat, orient
 from .polygon import (
     BoundaryPoint,
     InvariantError,
@@ -12,7 +15,6 @@ from .polygon import (
     boundary_key,
     canonicalize_ccw,
     co_contains,
-    ray_polygon_exit,
 )
 from .poncelet import blc, gamma1_points
 
@@ -121,121 +123,3 @@ def test_points(P: Polygon, Pp: Polygon) -> list[BoundaryPoint]:
         gamma1_points(P, Pp) - set(verts), key=lambda b: boundary_key(anchor, b)
     )
     return verts + extra
-
-
-def maximal_degenerate_extend(Q: Polygon, P: Polygon) -> Polygon:
-    """Grow an m-gon (m < n) into a maximal degenerate (n-1)-gon between it
-    and P: pad, push every vertex onto the boundary, collapse edge-sharers
-    onto vertices of P, and split vertex double points.
-
-    The output vertices are returned in counterclockwise boundary order, so
-    the result is convex CCW as listed.
-    """
-    if not P.is_convex_ccw:
-        raise ValueError("outer polygon must be convex CCW")
-    if not co_contains(P, Q):
-        raise ValueError("witness must be contained in the outer polygon")
-    if Q.n >= P.n:
-        raise ValueError("witness must have fewer vertices than the outer polygon")
-    n = P.n
-    pts = list(Q.vertices)
-    while len(pts) < n - 1:
-        pts.append(pts[0])
-
-    def on_boundary(q: Point) -> bool:
-        return P.locate_boundary(q) is not None
-
-    # Inscribe: vertex 0 pushes everyone else, then is pushed itself.
-    for k in range(1, n - 1):
-        if on_boundary(pts[k]):
-            continue
-        pts[k] = push_landing(P, pts[0], pts[k])
-    if not on_boundary(pts[0]):
-        pts[0] = push_landing(P, pts[1], pts[0])
-
-    # Merge edge-sharers onto vertices of P; split vertex double points.
-    while True:
-        moved = False
-        for i in range(n):
-            a, b = P.edge(i)
-            here = [k for k, q in enumerate(pts) if segment_contains(a, b, q)]
-            if len(here) < 2:
-                continue
-            strays = [k for k in here if pts[k] != a and pts[k] != b]
-            if not strays:
-                continue
-            k = strays[0]
-            mate = next(m for m in here if m != k)
-            pts[k] = edge_push_target(a, b, pts[mate], pts[k])
-            moved = True
-            break
-        if moved:
-            continue
-        occupants: dict[Point, list[int]] = {}
-        for k, q in enumerate(pts):
-            if q in set(P.vertices):
-                occupants.setdefault(q, []).append(k)
-        doubled = [v for v in P.vertices if len(occupants.get(v, [])) >= 2]
-        if not doubled:
-            break
-        free = next(v for v in P.vertices if not occupants.get(v))
-        pts[occupants[doubled[0]][0]] = free
-
-    out = Polygon(tuple(pts))
-    if not _is_maximal_degenerate(out, P):
-        raise InvariantError(f"{out!r} is not maximal degenerate in {P!r}")
-    anchor = BoundaryPoint(P, 0, Rat(0))
-    order = sorted(
-        range(n - 1),
-        key=lambda k: boundary_key(anchor, P.locate_boundary(pts[k])),
-    )
-    result = Polygon(tuple(pts[k] for k in order))
-    if not (result.is_convex_ccw and co_contains(P, result) and co_contains(result, Q)):
-        raise InvariantError(f"{result!r} is not convex CCW between {Q!r} and {P!r}")
-    return result
-
-
-def push_landing(P: Polygon, pusher: Point, mover: Point) -> Point:
-    """Boundary landing of a push-out; a coincident pair pushes toward the
-    first vertex of P that breaks the tie."""
-    if pusher != mover:
-        return ray_polygon_exit(P, pusher, mover - pusher).realize()
-    for v in P.vertices:
-        if v != mover:
-            return ray_polygon_exit(P, mover, v - mover).realize()
-    raise InvariantError("outer polygon collapsed to a point")
-
-
-def edge_push_target(a: Point, b: Point, pusher: Point, mover: Point) -> Point:
-    """Endpoint of [a, b] a stray mover is pushed to by a mate on the same
-    edge: away from the pusher, and counterclockwise-first on a tie."""
-    if pusher == mover:
-        return b
-    ta, tm = segment_param(a, b, pusher), segment_param(a, b, mover)
-    if ta is None or tm is None:
-        raise InvariantError("edge push with a point off the edge's line")
-    return b if ta <= tm else a
-
-
-def _is_maximal_degenerate(Q: Polygon, P: Polygon) -> bool:
-    """Inscribed, and each vertex is a single occupant of a vertex of P or
-    stranded (alone on its closed edges)."""
-    if Q.n != P.n - 1:
-        return False
-    locs = [P.locate_boundary(q) for q in Q.vertices]
-    if any(b is None for b in locs):
-        return False
-    pverts = set(P.vertices)
-    for k, q in enumerate(Q.vertices):
-        others = [Q.vertices[m] for m in range(Q.n) if m != k]
-        if q in pverts:
-            if any(o == q for o in others):
-                return False
-        else:
-            for i in range(P.n):
-                a, b = P.edge(i)
-                if segment_contains(a, b, q) and any(
-                    segment_contains(a, b, o) for o in others
-                ):
-                    return False
-    return True

@@ -16,7 +16,7 @@ from math import gcd
 
 from .geometry import Point, Rat
 from .moves import MoveScript, PullIn, replay
-from .polygon import Polygon
+from .polygon import BoundaryPoint, Polygon
 
 MODES = ("random", "scripted", "degenerate")
 
@@ -101,8 +101,6 @@ def random_script(rng: random.Random, P: Polygon, length: int, den: int = 6) -> 
 
 
 def random_boundary_point(rng: random.Random, P: Polygon, den: int = 16):
-    from .polygon import BoundaryPoint
-
     return BoundaryPoint(P, rng.randrange(P.n), Fraction(rng.randint(0, den - 1), den))
 
 

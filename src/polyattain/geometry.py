@@ -1,4 +1,4 @@
-"""Exact rational planar kernel: points, segments, rays and convex hulls.
+"""Exact rational planar kernel: points, segments and convex hulls.
 
 Every predicate and construction here is exact; all scalars are
 ``fractions.Fraction`` and no tolerances exist anywhere.  The hot
@@ -145,13 +145,3 @@ def segment_param(a: Point, b: Point, q: Point) -> Rat | None:
     if d.x != 0:
         return (q.x - a.x) / d.x
     return (q.y - a.y) / d.y
-
-
-@dataclass(frozen=True)
-class Ray:
-    origin: Point
-    dir: Point
-
-    def __post_init__(self):
-        if self.dir == Point(Rat(0), Rat(0)):
-            raise ValueError("zero direction")

@@ -108,7 +108,7 @@ def parse_script(data: Any) -> MoveScript:
         if not isinstance(mv, dict) or "i" not in mv or "j" not in mv or "c" not in mv:
             raise FormatError(f"move needs fields i, j, c {where}")
         i, j = mv["i"], mv["j"]
-        if not isinstance(i, int) or not isinstance(j, int):
+        if type(i) is not int or type(j) is not int:  # JSON true/false are not indices
             raise FormatError(f"indices must be integers {where}")
         if not 1 <= i <= start.n or not 1 <= j <= start.n or i == j:
             raise FormatError(f"bad indices {where}")

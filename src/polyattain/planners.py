@@ -4,20 +4,17 @@ Plans are built as push-out sequences from the target polygon back up to
 the start polygon (the constructions are naturally stated that way), then
 reversed into pull-in scripts.  Every emitted script is verified against
 the requested target and its length is checked against the declared bound;
-a violation raises PlannerError instead of shipping a bad plan.
+a violation raises PlannerError instead of shipping a bad plan.  The
+maximal degenerate polygon that the degenerate plan passes through is
+built here too, from the same push-outs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .degeneracy import (
-    certify_witness,
-    edge_push_target,
-    maximal_degenerate_extend,
-    push_landing,
-)
-from .geometry import Point, segment_contains, segment_param
+from .degeneracy import certify_witness
+from .geometry import Point, Rat, segment_contains, segment_param
 from .moves import (
     MoveScript,
     PullIn,
@@ -28,9 +25,12 @@ from .moves import (
     verify_script,
 )
 from .polygon import (
+    BoundaryPoint,
     InvariantError,
     Polygon,
+    boundary_key,
     canonicalize_ccw,
+    co_contains,
     mirror_point,
     mirrored,
     ray_polygon_exit,
@@ -99,6 +99,28 @@ class _PushRecorder:
         return MoveScript(self.current, tuple(moves))
 
 
+def _push_landing(P: Polygon, pusher: Point, mover: Point) -> Point:
+    """Boundary landing of a push-out; a coincident pair pushes toward the
+    first vertex of P that breaks the tie."""
+    if pusher != mover:
+        return ray_polygon_exit(P, pusher, mover - pusher).realize()
+    for v in P.vertices:
+        if v != mover:
+            return ray_polygon_exit(P, mover, v - mover).realize()
+    raise InvariantError("outer polygon collapsed to a point")
+
+
+def _edge_push_target(a: Point, b: Point, pusher: Point, mover: Point) -> Point:
+    """Endpoint of [a, b] a stray mover is pushed to by a mate on the same
+    edge: away from the pusher, and counterclockwise-first on a tie."""
+    if pusher == mover:
+        return b
+    ta, tm = segment_param(a, b, pusher), segment_param(a, b, mover)
+    if ta is None or tm is None:
+        raise InvariantError("edge push with a point off the edge's line")
+    return b if ta <= tm else a
+
+
 def _inscribe_onto(rec: _PushRecorder, Q: Polygon) -> None:
     """Push every vertex onto the boundary of Q: vertex 0 pushes the others,
     then is pushed out itself by vertex 1."""
@@ -107,10 +129,10 @@ def _inscribe_onto(rec: _PushRecorder, Q: Polygon) -> None:
         cur = rec.current
         if Q.locate_boundary(cur.vertices[k]) is not None:
             continue
-        rec.push(k, 0, push_landing(Q, cur.vertices[0], cur.vertices[k]))
+        rec.push(k, 0, _push_landing(Q, cur.vertices[0], cur.vertices[k]))
     cur = rec.current
     if Q.locate_boundary(cur.vertices[0]) is None:
-        rec.push(0, 1, push_landing(Q, cur.vertices[1], cur.vertices[0]))
+        rec.push(0, 1, _push_landing(Q, cur.vertices[1], cur.vertices[0]))
 
 
 def _push_stray(rec: _PushRecorder, Q: Polygon, strays: list[int]) -> bool:
@@ -125,7 +147,7 @@ def _push_stray(rec: _PushRecorder, Q: Polygon, strays: list[int]) -> bool:
                 continue
             mate = next((m for m in range(len(cur)) if m != k and segment_contains(a, b, cur[m])), None)
             if mate is not None:
-                rec.push(k, mate, edge_push_target(a, b, cur[mate], cur[k]))
+                rec.push(k, mate, _edge_push_target(a, b, cur[mate], cur[k]))
                 return True
     return False
 
@@ -286,6 +308,70 @@ def _plan_degenerate_nonconvex(P: Polygon, Pp: Polygon) -> MoveScript:
     return rec.to_script()
 
 
+def maximal_degenerate_extend(Q: Polygon, P: Polygon) -> Polygon:
+    """Grow an m-gon (m < n) into a maximal degenerate (n-1)-gon between it
+    and P by push-outs: pad with copies of vertex 0, inscribe, push
+    edge-sharers onto vertices of P, and split each vertex double point
+    onto a free vertex of P.
+
+    The output vertices are returned in counterclockwise boundary order, so
+    the result is convex CCW as listed.
+    """
+    if not P.is_convex_ccw:
+        raise ValueError("outer polygon must be convex CCW")
+    if not co_contains(P, Q):
+        raise ValueError("witness must be contained in the outer polygon")
+    if Q.n >= P.n:
+        raise ValueError("witness must have fewer vertices than the outer polygon")
+    pverts, slots = P.vertices, range(P.n - 1)
+    rec = _PushRecorder(Polygon(Q.vertices + Q.vertices[:1] * (P.n - 1 - Q.n)))
+    _inscribe_onto(rec, P)
+    while True:
+        cur = rec.current.vertices
+        if _push_stray(rec, P, [k for k in slots if cur[k] not in pverts]):
+            continue
+        occupants = {v: [k for k in slots if cur[k] == v] for v in pverts}
+        doubled = next((occ for occ in occupants.values() if len(occ) >= 2), None)
+        if doubled is None:
+            break
+        free = next(v for v in pverts if not occupants[v])
+        rec.push(doubled[0], doubled[1], free)
+    out = rec.current
+    if not _is_maximal_degenerate(out, P):
+        raise InvariantError(f"{out!r} is not maximal degenerate in {P!r}")
+    anchor = BoundaryPoint(P, 0, Rat(0))
+    result = Polygon(tuple(sorted(
+        out.vertices, key=lambda q: boundary_key(anchor, P.locate_boundary(q))
+    )))
+    if not (result.is_convex_ccw and co_contains(P, result) and co_contains(result, Q)):
+        raise InvariantError(f"{result!r} is not convex CCW between {Q!r} and {P!r}")
+    return result
+
+
+def _is_maximal_degenerate(Q: Polygon, P: Polygon) -> bool:
+    """Inscribed, and each vertex is a single occupant of a vertex of P or
+    stranded (alone on its closed edges)."""
+    if Q.n != P.n - 1:
+        return False
+    locs = [P.locate_boundary(q) for q in Q.vertices]
+    if any(b is None for b in locs):
+        return False
+    pverts = set(P.vertices)
+    for k, q in enumerate(Q.vertices):
+        others = [Q.vertices[m] for m in range(Q.n) if m != k]
+        if q in pverts:
+            if any(o == q for o in others):
+                return False
+        else:
+            for i in range(P.n):
+                a, b = P.edge(i)
+                if segment_contains(a, b, q) and any(
+                    segment_contains(a, b, o) for o in others
+                ):
+                    return False
+    return True
+
+
 def _plan_degenerate_convex(P: Polygon, Pp: Polygon, witness: Polygon) -> MoveScript:
     """Set-convex outer polygon, n >= 4: the maximal-degenerate route."""
     canon = canonicalize_ccw(P)
@@ -415,11 +501,11 @@ def _plan_triangle(P: Polygon, Pp: Polygon) -> MoveScript:
     if len(distinct) >= 2:
         u, v = distinct[0], distinct[-1]
         for w, z in ((u, v), (v, u)):
-            landings.add(ray_polygon_exit(hull, w, z - w).realize())
+            landings.add(_push_landing(hull, w, z))
     for pvx in verts:
         for g in set(gpts):
             if g != pvx:
-                landings.add(ray_polygon_exit(hull, pvx, g - pvx).realize())
+                landings.add(_push_landing(hull, pvx, g))
 
     start = tuple(P.vertices)
     if start == goal:

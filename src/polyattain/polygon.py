@@ -12,6 +12,8 @@ from .geometry import (
     convex_hull,
     cross,
     orient,
+    pt,
+    segment_contains,
     segment_param,
 )
 
@@ -93,8 +95,6 @@ class Polygon:
 
 
 def polygon(coords) -> Polygon:
-    from .geometry import pt
-
     return Polygon(tuple(pt(x, y) for x, y in coords))
 
 
@@ -104,8 +104,6 @@ def co_contains(outer: Polygon, inner: Polygon) -> bool:
     if len(hull) == 1:
         return all(v == hull[0] for v in inner.vertices)
     if len(hull) == 2:
-        from .geometry import segment_contains
-
         a, b = hull
         return all(segment_contains(a, b, v) for v in inner.vertices)
     m = len(hull)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Point, Rat, Ray, forward_sign, orient
+from .geometry import Point, Rat, forward_sign, orient, segment_contains
 from .polygon import (
     BoundaryPoint,
     InvariantError,
@@ -30,7 +30,6 @@ class TangentEval:
     ray, ordered by distance from the foot; the last one is the far pivot.
     """
 
-    ray: Ray
     pivots: tuple[Point, ...]
     case: str
     image: BoundaryPoint
@@ -137,10 +136,7 @@ def right_tangent(P: Polygon, Pp: Polygon, x: BoundaryPoint | Point) -> TangentE
         pivots = (v, nxt)
     else:
         pivots = (v,)
-    near = pivots[0]
-    ray = Ray(xpt, near - xpt)
-
-    far = pivots[-1]
+    near, far = pivots[0], pivots[-1]
     if orient(a, b, far) == 0:
         # Tangent collinear with the host edge through x: the boundary case.
         # The backward direction would force Pp onto that edge line, which
@@ -148,11 +144,11 @@ def right_tangent(P: Polygon, Pp: Polygon, x: BoundaryPoint | Point) -> TangentE
         if forward_sign(xpt, b, far) <= 0:
             raise InvariantError("tangent runs backwards along the host edge")
         image = BoundaryPoint(P, (bp.edge + 1) % P.n, Rat(0))
-        return TangentEval(ray, pivots, BOUNDARY, image)
-    image = ray_polygon_exit(P, bp, ray.dir, near)
+        return TangentEval(pivots, BOUNDARY, image)
+    image = ray_polygon_exit(P, bp, near - xpt, near)
     if image.edge == bp.edge and image.t == bp.t:
         raise InvariantError("tangent ray exits P at its own foot")
-    return TangentEval(ray, pivots, INTERIOR, image)
+    return TangentEval(pivots, INTERIOR, image)
 
 
 def poncelet(P: Polygon, Pp: Polygon, x: BoundaryPoint | Point) -> BoundaryPoint:
@@ -237,8 +233,6 @@ def _arc_sorted(P: Polygon, pts: set[BoundaryPoint]) -> tuple[BoundaryPoint, ...
 
 
 def _on_one_host_edge(P: Polygon, u: Point, v: Point) -> bool:
-    from .geometry import segment_contains
-
     for i in range(P.n):
         a, b = P.edge(i)
         if segment_contains(a, b, u) and segment_contains(a, b, v):

@@ -256,6 +256,7 @@ BAD_SCRIPTS = {
     "zero-denominator": json.dumps({"start": [["1/0", 0], *SQ["P"][1:]], "moves": []}),
     "move-index": json.dumps({"start": SQ["P"], "moves": [{"i": 9, "j": 1, "c": "1/2"}]}),
     "moves-not-a-list": json.dumps({"start": SQ["P"], "moves": 5}),
+    "bool-index": json.dumps({"start": SQ["P"], "moves": [{"i": True, "j": 2, "c": "1/2"}]}),
 }
 BAD_FILE_COMMANDS = [
     ("decide", ["decide", "{bad}"], BAD_INSTANCES),

@@ -13,10 +13,10 @@ from polyattain.degeneracy import (
     NOT_SET_CONVEX_OUTER,
     certify_witness,
     is_degenerate,
-    maximal_degenerate_extend,
 )
 from polyattain.degeneracy import test_points as degeneracy_test_points
 from polyattain.geometry import Point, pt
+from polyattain.planners import maximal_degenerate_extend
 from polyattain.polygon import Polygon, co_contains, polygon
 from polyattain.poncelet import blc
 from polyattain.gen import (
@@ -72,14 +72,18 @@ def test_containment_precondition(square):
 
 
 def test_maximal_degenerate_examples(square):
+    """Exact outputs.  `small` inscribes into three stranded edge points;
+    `doubled` inscribes a coincident pair and splits the double point that
+    forms at (1, 1); `one_edge` merges its two strays onto the ends of the
+    bottom edge and splits the double point left at (0, 0)."""
     tri = polygon([(0, 0), (1, 0), (0, 1)])
     assert maximal_degenerate_extend(tri, square) == tri
     small = polygon([("1/4", "1/4"), ("1/2", "1/4"), ("1/4", "1/2")])
-    out = maximal_degenerate_extend(small, square)
-    assert out.n == 3 and co_contains(square, out) and co_contains(out, small)
+    assert maximal_degenerate_extend(small, square) == polygon([(1, "1/4"), ("1/4", 1), (0, "1/4")])
     doubled = Polygon((pt("1/4", "1/4"), pt("1/4", "1/4"), pt("1/2", "1/2")))
-    out = maximal_degenerate_extend(doubled, square)
-    assert out.n == 3 and co_contains(out, doubled)
+    assert maximal_degenerate_extend(doubled, square) == polygon([(0, 0), (1, 0), (1, 1)])
+    one_edge = polygon([("1/2", 0), ("1/4", 0), (0, 0)])
+    assert maximal_degenerate_extend(one_edge, square) == polygon([(0, 0), (1, 0), (1, 1)])
 
 
 def test_witnesses_self_certify():
@@ -215,15 +219,15 @@ def test_witness_check_survives_optimize_flag():
         expect(lambda: poncelet.blc(square, corner, BoundaryPoint(square, 0, 0)))
         poncelet.in_arc = in_arc
 
-        maximal = degeneracy._is_maximal_degenerate
-        degeneracy._is_maximal_degenerate = lambda Q, P: False
-        expect(lambda: degeneracy.maximal_degenerate_extend(triangle, square))
-        degeneracy._is_maximal_degenerate = maximal
+        maximal = planners._is_maximal_degenerate
+        planners._is_maximal_degenerate = lambda Q, P: False
+        expect(lambda: planners.maximal_degenerate_extend(triangle, square))
+        planners._is_maximal_degenerate = maximal
 
-        contains = degeneracy.co_contains
-        degeneracy.co_contains = lambda A, B: B.n != A.n - 1 and contains(A, B)
-        expect(lambda: degeneracy.maximal_degenerate_extend(triangle, pentagon))
-        degeneracy.co_contains = contains
+        contains = planners.co_contains
+        planners.co_contains = lambda A, B: B.n != A.n - 1 and contains(A, B)
+        expect(lambda: planners.maximal_degenerate_extend(triangle, pentagon))
+        planners.co_contains = contains
 
         exit_query = poncelet.ray_polygon_exit
         poncelet.ray_polygon_exit = lambda P, origin, *rest: origin  # the ray exits at its foot
@@ -240,12 +244,9 @@ def test_witness_check_survives_optimize_flag():
 
         # a pair on one edge whose parameters cannot be read, and a triangle
         # search whose pull-in parameters cannot be read
-        param = degeneracy.segment_param
-        degeneracy.segment_param = lambda a, b, q: None
-        mates = polygon([("1/4", 0), ("1/2", 0), ("1/2", "1/2")]).vertices[:2]
-        expect(lambda: degeneracy.edge_push_target(*square.edge(0), *mates))
-        degeneracy.segment_param = param
         planners.segment_param = lambda a, b, q: None
+        mates = polygon([("1/4", 0), ("1/2", 0), ("1/2", "1/2")]).vertices[:2]
+        expect(lambda: planners._edge_push_target(*square.edge(0), *mates))
         thin = polygon([("1/4", "1/4"), ("1/2", "1/2"), ("3/4", "3/4")])
         expect(lambda: planners._plan_triangle(polygon([(0, 0), (1, 0), (0, 1)]), thin))
     """)

@@ -1,5 +1,6 @@
-"""Every module-level import in src/ and tests/ is used, and every public
-name in src/ is used by the library itself or kept for a stated reason.
+"""Every module-level import in src/ and tests/ is used, src/ imports its
+own modules only at module level, and every public name in src/ is used by
+the library itself or kept for a stated reason.
 The project depends on no linter, so these AST scans stand in for its
 rules."""
 
@@ -53,6 +54,24 @@ def test_no_unused_module_level_imports():
         if unused:
             found[str(path.relative_to(ROOT))] = unused
     assert found == {}
+
+
+def test_no_function_local_package_imports():
+    """A module of src/ imports the package's modules in its head, so its
+    dependencies can be read there; only stdlib imports may be deferred."""
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):  # a relative import is one of the package's
+                modules = ["polyattain" if node.level else node.module]
+            elif isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                continue
+            if node not in tree.body and any(m.split(".")[0] == "polyattain" for m in modules):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found == []
 
 
 def _public_definitions(tree: ast.Module) -> list[str]:

@@ -53,8 +53,7 @@ class TestRightTangent:
             P, Pp = _random_instance(rng)
             x = _random_bp(rng, P)
             ev = right_tangent(P, Pp, x)
-            o = ev.ray.origin
-            tip = o + ev.ray.dir
+            o, tip = x.realize(), ev.pivots[0]
             assert all(orient(o, tip, w) >= 0 for w in Pp.hull)
             assert ev.pivots == tuple(sorted(ev.pivots, key=lambda u: (
                 (u.x - o.x) ** 2 + (u.y - o.y) ** 2)))
