@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -348,8 +349,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _attach_start(argv: list[str]) -> list[str]:
+    """`--start -1,0` as `--start=-1,0`: argparse takes a separate value that
+    begins with '-' for an option unless it is a plain negative number."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--start" and re.match(r"-[\d.]", arg):
+            out[-1] = f"--start={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_start(sys.argv[1:] if argv is None else list(argv)))
     try:
         try:
             return args.func(args)

@@ -76,8 +76,9 @@ def is_degenerate(P: Polygon, Pp: Polygon) -> DegeneracyVerdict:
     (1) a non-set-convex outer polygon makes everything inside degenerate;
     (2) a collinear inner polygon is degenerate; (3) otherwise canonicalize
     the outer polygon and run the broken line construction from every test
-    point of T = vertices + Gamma_1; an early stop (fewer than n points)
-    certifies degeneracy with the resulting polygon as witness.
+    point of T = vertices + Gamma_1, the vertices first; an early stop
+    (fewer than n points) certifies degeneracy with the resulting polygon
+    as witness.
 
     For n = 3 degeneracy is equivalent to collinearity of the inner
     polygon, so step (2) decides and no witness polygon is emitted.
@@ -107,7 +108,7 @@ def is_degenerate(P: Polygon, Pp: Polygon) -> DegeneracyVerdict:
     if canon is None:
         raise InvariantError("outer polygon is not set-convex")
     Pc, _ = canon
-    for start in test_points(Pc, Pp):
+    for start in _starts(Pc, Pp):
         res = blc(Pc, Pp, start)
         if res.l < n:
             witness = _certified(P, Pp, Polygon(tuple(b.realize() for b in res.points)))
@@ -123,3 +124,12 @@ def test_points(P: Polygon, Pp: Polygon) -> list[BoundaryPoint]:
         gamma1_points(P, Pp) - set(verts), key=lambda b: boundary_key(anchor, b)
     )
     return verts + extra
+
+
+def _starts(P: Polygon, Pp: Polygon):
+    """The test points in the order of `test_points`, with Gamma_1 computed
+    only once the vertex starts are spent: an early stop at a vertex never
+    needs it."""
+    for j in range(P.n):
+        yield BoundaryPoint(P, j, Rat(0))
+    yield from test_points(P, Pp)[P.n:]

@@ -52,9 +52,9 @@ def cross(u: Point, v: Point) -> Rat:
 def orient(a: Point, b: Point, c: Point) -> int:
     """Sign of the determinant |b-a, c-a|: +1 if c is strictly left of the
     directed line through a and b, 0 if collinear, -1 if strictly right."""
-    axn, axd, ayn, ayd = a.x.numerator, a.x.denominator, a.y.numerator, a.y.denominator
-    bxn, bxd, byn, byd = b.x.numerator, b.x.denominator, b.y.numerator, b.y.denominator
-    cxn, cxd, cyn, cyd = c.x.numerator, c.x.denominator, c.y.numerator, c.y.denominator
+    (axn, axd), (ayn, ayd) = a.x.as_integer_ratio(), a.y.as_integer_ratio()
+    (bxn, bxd), (byn, byd) = b.x.as_integer_ratio(), b.y.as_integer_ratio()
+    (cxn, cxd), (cyn, cyd) = c.x.as_integer_ratio(), c.y.as_integer_ratio()
     # With positive denominators: (b-a).x = p1/(bxd*axd), (c-a).y = p2/(cyd*ayd),
     # (b-a).y = p3/(byd*ayd), (c-a).x = p4/(cxd*axd).
     p1 = bxn * axd - axn * bxd
@@ -68,9 +68,9 @@ def orient(a: Point, b: Point, c: Point) -> int:
 
 def forward_sign(a: Point, b: Point, c: Point) -> int:
     """Sign of (b-a).(c-a); positive when c is on b's side of a."""
-    axn, axd, ayn, ayd = a.x.numerator, a.x.denominator, a.y.numerator, a.y.denominator
-    bxn, bxd, byn, byd = b.x.numerator, b.x.denominator, b.y.numerator, b.y.denominator
-    cxn, cxd, cyn, cyd = c.x.numerator, c.x.denominator, c.y.numerator, c.y.denominator
+    (axn, axd), (ayn, ayd) = a.x.as_integer_ratio(), a.y.as_integer_ratio()
+    (bxn, bxd), (byn, byd) = b.x.as_integer_ratio(), b.y.as_integer_ratio()
+    (cxn, cxd), (cyn, cyd) = c.x.as_integer_ratio(), c.y.as_integer_ratio()
     p1 = bxn * axd - axn * bxd  # the same differences as in orient
     p2 = cyn * ayd - ayn * cyd
     p3 = byn * ayd - ayn * byd
@@ -127,20 +127,20 @@ def collinear_points(points: list[Point]) -> bool:
 
 def segment_contains(a: Point, b: Point, q: Point) -> bool:
     """Exact test for q in the closed segment [a, b]."""
+    if orient(a, b, q) != 0:  # never when a == b
+        return False
     if a == b:
         return q == a
-    if orient(a, b, q) != 0:
-        return False
     # Collinear: q between a and b iff (q-a).(q-b) <= 0.
     return forward_sign(q, a, b) <= 0
 
 
 def segment_param(a: Point, b: Point, q: Point) -> Rat | None:
     """Parameter t with q = (1-t)a + t b, or None if q is off the line a-b."""
+    if orient(a, b, q) != 0:  # never when a == b
+        return None
     if a == b:
         return Rat(0) if q == a else None
-    if orient(a, b, q) != 0:
-        return None
     d = b - a
     if d.x != 0:
         return (q.x - a.x) / d.x

@@ -177,7 +177,7 @@ class BoundaryPoint:
 
 def ray_polygon_exit(
     P: Polygon,
-    origin: BoundaryPoint | Point,
+    origin: Point,
     direction: Point,
     through: Point | None = None,
 ) -> BoundaryPoint:
@@ -188,61 +188,32 @@ def ray_polygon_exit(
     `through` is a point of the ray other than the origin, if the caller
     already holds one.
 
-    The exit edge is read off the sides of the vertices relative to the
+    The exit edge is read off the sides of all n vertices relative to the
     ray's line: it starts right of or on the line and ends left of or on
     it, not both on it.  Strict convexity leaves one such point (a vertex on
-    the line may end one such edge and start the next).  From a
-    BoundaryPoint origin whose ray enters P, the sides of the vertices after
-    the origin's edge run right ..., at most one on the line, left ..., so a
-    bisection finds the edge in O(log n) orientation tests; any other origin
-    takes one pass over all n sides.  One exact intersection then gives the
-    point.
+    the line may end one such edge and start the next).  One exact
+    intersection then gives the point.  The steps of the broken line find
+    their exits by bisection instead, in `poncelet`.
     """
-    if isinstance(origin, BoundaryPoint):
-        if origin.host is not P and origin.host != P:
-            raise ValueError("origin lies on another polygon")
-        o = origin.realize()
-    else:
-        o = origin
-    q = o + direction if through is None else through
+    q = origin + direction if through is None else through
     vs, n = P.vertices, P.n
-    if isinstance(origin, BoundaryPoint):
-        first = origin.edge + 1
-        # The vertices after the origin's edge, and its start when the origin lies past it.
-        lo, hi = 0, (n - 2 if origin.t == 0 else n - 1)
-        if orient(o, q, vs[first % n]) < 0 and orient(o, q, vs[(first + hi) % n]) > 0:
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                side = orient(o, q, vs[(first + mid) % n])
-                if side == 0:
-                    return BoundaryPoint(P, first + mid, 0)
-                if side < 0:
-                    lo = mid
-                else:
-                    hi = mid
-            return _crossing(P, first + lo, o, direction)
-    sides = [orient(o, q, v) for v in vs]
+    sides = [orient(origin, q, v) for v in vs]
     for i in range(n):
         s0, s1 = sides[i], sides[(i + 1) % n]
         if s0 <= 0 <= s1 and (s0 or s1):
             break
     else:
         raise ValueError("ray does not meet the boundary")
+    a, b = vs[i], vs[(i + 1) % n]
     # The ray crosses the edge's line outwards, so it meets the exit at
     # t >= 0 exactly when the origin is not strictly outside that line.
-    if orient(vs[i], vs[(i + 1) % n], o) < 0:
+    if orient(a, b, origin) < 0:
         raise ValueError("ray does not meet the boundary")
     if s1 == 0:
         return BoundaryPoint(P, i + 1, 0)
     if s0 == 0:
         return BoundaryPoint(P, i, 0)
-    return _crossing(P, i, o, direction)
-
-
-def _crossing(P: Polygon, i: int, o: Point, direction: Point) -> BoundaryPoint:
-    """Where the line o + t*direction crosses edge i, its ends on either side."""
-    a, b = P.edge(i)
-    return BoundaryPoint(P, i, cross(o - a, direction) / cross(b - a, direction))
+    return BoundaryPoint(P, i, cross(origin - a, direction) / cross(b - a, direction))
 
 
 def boundary_key(anchor: BoundaryPoint, z: BoundaryPoint) -> tuple[int, Rat]:

@@ -1,25 +1,35 @@
 """Tangent rays, the Poncelet map and its clockwise twin, juncture sets,
-and the broken line construction."""
+and the broken line construction.
+
+Every evaluation of the map runs in an integer frame: the vertices of P
+and the hull of Pp times the lcm of their coordinate denominators, which
+changes no orientation sign and no edge parameter.  The foot (edge, t)
+with t = p/q is the homogeneous point (X, Y, W) = ((q-p)a + pb, q) of that
+frame, so each orientation test of the foot against two frame points is
+one linear form in it and the image parameter is the quotient of two
+more: a step realizes no point and builds one Fraction.  The clockwise
+map is the counterclockwise one in the mirrored frame, the same integers
+reflected (y -> -y) and reversed.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .geometry import Point, Rat, forward_sign, orient, segment_contains
+from .geometry import Point, Rat, segment_contains
 from .polygon import (
     BoundaryPoint,
     InvariantError,
     Polygon,
     boundary_key,
     co_contains,
-    in_arc,
-    mirror_point,
-    mirrored,
     ray_polygon_exit,
 )
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
+_ZERO = Rat(0)
 
 
 @dataclass(frozen=True)
@@ -34,14 +44,12 @@ class TangentEval:
     case: str
     image: BoundaryPoint
 
-    @property
-    def far_pivot(self) -> Point:
-        return self.pivots[-1]
-
 
 def _on_boundary(P: Polygon, x: BoundaryPoint | Point, what: str) -> BoundaryPoint:
     """A foot or start given as a point, addressed on the boundary of P."""
     if isinstance(x, BoundaryPoint):
+        if x.host is not P and x.host != P:
+            raise ValueError(f"{what} lies on another polygon")
         return x
     bp = P.locate_boundary(x)
     if bp is None:
@@ -49,30 +57,101 @@ def _on_boundary(P: Polygon, x: BoundaryPoint | Point, what: str) -> BoundaryPoi
     return bp
 
 
-def _later(x: Point, b: Point, p: Point, q: Point) -> int:
-    """+1, 0 or -1 as q is seen from x at a larger, equal or smaller angle
-    than p, measured counterclockwise from the direction x->b.
+class _Frame:
+    """P's vertices and Pp's hull as integer pairs, for the steps of one run.
+
+    Counterclockwise, the pairs are the coordinates times the lcm of their
+    denominators.  Clockwise, they are reflected (y -> -y) and reversed:
+    the frame of mirrored(P) and of mirrored(Pp).hull up to the hull's
+    first vertex, which no step depends on, built without either.  pts
+    holds the hull's own points in frame order, for the pivots.
+    """
+
+    __slots__ = ("P", "ccw", "vs", "hull", "pts")
+
+    def __init__(self, P: Polygon, Pp: Polygon, ccw: bool = True):
+        pts = Pp.hull
+        if len(pts) < 3:
+            raise ValueError("inner polygon is collinear")
+        scale = lcm(*(c.denominator for v in P.vertices + pts for c in (v.x, v.y)))
+
+        def ints(v: Point) -> tuple[int, int]:
+            return (v.x.numerator * (scale // v.x.denominator),
+                    v.y.numerator * (scale // v.y.denominator))
+
+        vs, hull = [ints(v) for v in P.vertices], [ints(v) for v in pts]
+        if not ccw:
+            vs = [(x, -y) for x, y in reversed(vs)]
+            hull, pts = [(x, -y) for x, y in reversed(hull)], pts[::-1]
+        self.P, self.ccw = P, ccw
+        self.vs, self.hull, self.pts = tuple(vs), tuple(hull), tuple(pts)
+
+    def foot(self, bp: BoundaryPoint) -> tuple[int, Rat]:
+        """A boundary point of P as an (edge, t) pair of the frame."""
+        if self.ccw:
+            return bp.edge, bp.t
+        n = len(self.vs)
+        if bp.t == 0:
+            return (-1 - bp.edge) % n, _ZERO
+        return (-2 - bp.edge) % n, 1 - bp.t
+
+    def boundary_point(self, x: tuple[int, Rat]) -> BoundaryPoint:
+        """The boundary point of P at the frame's (edge, t) pair x."""
+        e, t = x
+        if self.ccw:
+            return BoundaryPoint(self.P, e, t)
+        return BoundaryPoint(self.P, -2 - e, 1 - t)
+
+
+# The foot f = (X, Y, W) is a homogeneous point with W > 0; u and v are
+# frame points.
+
+
+def _side(f, u, v) -> int:
+    """orient(foot, u, v): +1 if v is strictly left of the line from the
+    foot to u, 0 if collinear, -1 if strictly right."""
+    X, Y, W = f
+    d = W * (u[0] * v[1] - u[1] * v[0]) + X * (u[1] - v[1]) + Y * (v[0] - u[0])
+    return (d > 0) - (d < 0)
+
+
+def _forward(f, u, v) -> int:
+    """forward_sign(foot, u, v): the sign of (u - foot).(v - foot)."""
+    X, Y, W = f
+    d = (W * u[0] - X) * (W * v[0] - X) + (W * u[1] - Y) * (W * v[1] - Y)
+    return (d > 0) - (d < 0)
+
+
+def _at(f, u) -> bool:
+    """The foot is the point u."""
+    X, Y, W = f
+    return u[0] * W == X and u[1] * W == Y
+
+
+def _later(f, b, p, q) -> int:
+    """+1, 0 or -1 as q is seen from the foot at a larger, equal or smaller
+    angle than p, measured counterclockwise from the direction foot->b.
 
     Every point compared lies weakly left of that direction, so the angles
-    lie in [0, pi] and one orientation test decides unless p, q and x are
-    collinear.  x itself counts as the largest angle.
+    lie in [0, pi] and one orientation test decides unless p, q and the
+    foot are collinear.  The foot itself counts as the largest angle.
     """
-    o = orient(x, p, q)
+    o = _side(f, p, q)
     if o:
         return o
-    if q == x:
-        return int(p != x)
-    if p == x:
+    if _at(f, q):
+        return int(not _at(f, p))
+    if _at(f, p):
         return -1
-    if forward_sign(x, p, q) > 0:
+    if _forward(f, p, q) > 0:
         return 0
-    # On the line x-b at opposite sides of x: the one ahead of x has angle 0.
-    return 1 if forward_sign(x, b, p) > 0 else -1
+    # On the line foot-b at opposite sides of the foot: the one ahead has angle 0.
+    return 1 if _forward(f, b, p) > 0 else -1
 
 
-def _tangent_index(hull: tuple[Point, ...], x: Point, b: Point) -> int:
-    """Index of the hull vertex that x sees at the smallest angle (see
-    `_later`); of two at that angle, the first in cyclic order.
+def _tangent_index(hull, f, b) -> int:
+    """Index of the hull vertex that the foot sees at the smallest angle
+    (see `_later`); of two at that angle, the first in cyclic order.
 
     Around the hull the angles rise from the minimum to a maximum and fall
     back to it.  Unless vertex 0 is the minimum, "vertex k comes before the
@@ -83,7 +162,7 @@ def _tangent_index(hull: tuple[Point, ...], x: Point, b: Point) -> int:
     m = len(hull)
 
     def slope(k: int) -> int:
-        return _later(x, b, hull[k], hull[(k + 1) % m])
+        return _later(f, b, hull[k], hull[(k + 1) % m])
 
     first = slope(0)
     if first >= 0 and slope(m - 1) < 0:
@@ -91,11 +170,11 @@ def _tangent_index(hull: tuple[Point, ...], x: Point, b: Point) -> int:
     if first > 0:
         # Rising at 0: the minimum ends the fall that follows the maximum,
         # and vertices on the final rise lie below vertex 0.
-        before = lambda k: slope(k) < 0 or _later(x, b, hull[0], hull[k]) > 0
+        before = lambda k: slope(k) < 0 or _later(f, b, hull[0], hull[k]) > 0
     else:
         # Falling at 0, or vertices 0 and 1 are a level maximum: the minimum
         # ends this fall, and vertices on the final fall lie above vertex 0.
-        before = lambda k: slope(k) < 0 and _later(x, b, hull[0], hull[k]) <= 0
+        before = lambda k: slope(k) < 0 and _later(f, b, hull[0], hull[k]) <= 0
     lo, hi = 0, m - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -106,49 +185,95 @@ def _tangent_index(hull: tuple[Point, ...], x: Point, b: Point) -> int:
     return hi
 
 
-def right_tangent(P: Polygon, Pp: Polygon, x: BoundaryPoint | Point) -> TangentEval:
-    """The right tangent ray to Pp from a boundary point of P, with its
-    pivots and the Poncelet image.
+def _exit(vs, x, f, near) -> tuple[int, Rat]:
+    """Where the ray from the foot x through near leaves the polygon with
+    vertices vs, as an (edge, t) pair.
 
-    The inner polygon must not be collinear and must be contained in P.
+    The ray enters the polygon, so the sides of the vertices after the
+    foot's edge, relative to its line, run right ..., at most one on the
+    line, left ...: a bisection finds the exit edge in O(log n) tests, and
+    the exit parameter is the quotient of two linear forms in the foot.
+    """
+    n = len(vs)
+    e, t = x
+    first = e + 1
+    # The vertices after the foot's edge, and its start when the foot lies past it.
+    lo, hi = 0, (n - 2 if t == 0 else n - 1)
+    if _side(f, near, vs[first % n]) >= 0 or _side(f, near, vs[(first + hi) % n]) <= 0:
+        raise ValueError("tangent ray does not enter the outer polygon")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        side = _side(f, near, vs[(first + mid) % n])
+        if side == 0:
+            return (first + mid) % n, _ZERO
+        if side < 0:
+            lo = mid
+        else:
+            hi = mid
+    i = (first + lo) % n
+    (ax, ay), (bx, by) = vs[i], vs[(i + 1) % n]
+    (nx, ny), (X, Y, W) = near, f
+    # a + s(b - a) on the line through the foot and near, both sides times W.
+    num = W * (nx * ay - ny * ax) + X * (ny - ay) + Y * (ax - nx)
+    den = W * ((bx - ax) * ny - (by - ay) * nx) - (bx - ax) * Y + (by - ay) * X
+    return i, Rat(num, den)
+
+
+def _step(fr: _Frame, x: tuple[int, Rat]):
+    """The Poncelet map at the frame's foot x = (edge, t): the hull indices
+    of the pivots, the case and the image as an (edge, t) pair.
+
     The tangent vertex is found by bisection and certified by its two hull
     neighbours: both weakly left of the ray means the whole hull is, since
     the hull is convex.  Only a neighbour can share the tangent line, so the
     pivots come from those three vertices.
     """
-    bp = _on_boundary(P, x, "tangent foot")
-    xpt = bp.realize()
-    hull = Pp.hull
-    m = len(hull)
-    if m < 3:
-        raise ValueError("inner polygon is collinear")
-    a, b = P.edge(bp.edge)
-    k = _tangent_index(hull, xpt, b)
+    vs, hull = fr.vs, fr.hull
+    n, m = len(vs), len(hull)
+    e, t = x
+    p, q = t.numerator, t.denominator
+    (ax, ay), b = vs[e], vs[(e + 1) % n]
+    f = ((q - p) * ax + p * b[0], (q - p) * ay + p * b[1], q)
+    k = _tangent_index(hull, f, b)
     v, prev, nxt = hull[k], hull[k - 1], hull[(k + 1) % m]
-    o_prev, o_next = orient(xpt, v, prev), orient(xpt, v, nxt)
-    if v == xpt or o_prev < 0 or o_next < 0:
+    o_prev, o_next = _side(f, v, prev), _side(f, v, nxt)
+    if _at(f, v) or o_prev < 0 or o_next < 0:
         raise ValueError("no tangent ray: foot lies inside the inner hull")
     # Two pivots in hull order are in order of distance from the foot: the
     # ray runs along the hull edge between them, with the hull on its left.
-    if o_prev == 0 and forward_sign(xpt, v, prev) > 0:
-        pivots = (prev, v)
-    elif o_next == 0 and forward_sign(xpt, v, nxt) > 0:
-        pivots = (v, nxt)
+    if o_prev == 0 and _forward(f, v, prev) > 0:
+        pivots = ((k - 1) % m, k)
+    elif o_next == 0 and _forward(f, v, nxt) > 0:
+        pivots = (k, (k + 1) % m)
     else:
-        pivots = (v,)
-    near, far = pivots[0], pivots[-1]
-    if orient(a, b, far) == 0:
-        # Tangent collinear with the host edge through x: the boundary case.
-        # The backward direction would force Pp onto that edge line, which
-        # the collinearity gate above already excludes.
-        if forward_sign(xpt, b, far) <= 0:
+        pivots = (k,)
+    near, far = hull[pivots[0]], hull[pivots[-1]]
+    if (b[0] - ax) * (far[1] - ay) == (b[1] - ay) * (far[0] - ax):
+        # Tangent collinear with the host edge through the foot: the
+        # boundary case.  The backward direction would force Pp onto that
+        # edge line, which the collinearity gate of the frame excludes.
+        if _forward(f, b, far) <= 0:
             raise InvariantError("tangent runs backwards along the host edge")
-        image = BoundaryPoint(P, (bp.edge + 1) % P.n, Rat(0))
-        return TangentEval(pivots, BOUNDARY, image)
-    image = ray_polygon_exit(P, bp, near - xpt, near)
-    if image.edge == bp.edge and image.t == bp.t:
+        return pivots, BOUNDARY, ((e + 1) % n, _ZERO)
+    image = _exit(vs, x, f, near)
+    if image == x:
         raise InvariantError("tangent ray exits P at its own foot")
-    return TangentEval(pivots, INTERIOR, image)
+    return pivots, INTERIOR, image
+
+
+def _evaluate(fr: _Frame, bp: BoundaryPoint) -> TangentEval:
+    pivots, case, image = _step(fr, fr.foot(bp))
+    return TangentEval(tuple(fr.pts[k] for k in pivots), case, fr.boundary_point(image))
+
+
+def right_tangent(P: Polygon, Pp: Polygon, x: BoundaryPoint | Point) -> TangentEval:
+    """The right tangent ray to Pp from a boundary point of P, with its
+    pivots and the Poncelet image.
+
+    The inner polygon must not be collinear and must be contained in P.
+    """
+    bp = _on_boundary(P, x, "tangent foot")
+    return _evaluate(_Frame(P, Pp), bp)
 
 
 def poncelet(P: Polygon, Pp: Polygon, x: BoundaryPoint | Point) -> BoundaryPoint:
@@ -159,9 +284,8 @@ def poncelet(P: Polygon, Pp: Polygon, x: BoundaryPoint | Point) -> BoundaryPoint
 def poncelet_cw(P: Polygon, Pp: Polygon, x: BoundaryPoint | Point) -> BoundaryPoint:
     """The clockwise Poncelet map: left tangent ray, computed as the right
     tangent ray in the mirrored frame."""
-    Pm = mirrored(P)
-    xm = mirror_point(_on_boundary(P, x, "tangent foot"), Pm)
-    return mirror_point(poncelet(Pm, mirrored(Pp), xm), P)
+    bp = _on_boundary(P, x, "tangent foot")
+    return _evaluate(_Frame(P, Pp, False), bp).image
 
 
 @dataclass(frozen=True)
@@ -183,38 +307,53 @@ class BlcResult:
         return len(self.points)
 
 
+def _in_open_arc(n: int, a, b, z) -> bool:
+    """z strictly inside the counterclockwise arc from a to b, all three
+    (edge, t) pairs of one n-gon, a != b."""
+    if z == a or z == b:
+        return False
+    return _arc_key(n, a, z) < _arc_key(n, a, b)
+
+
+def _arc_key(n: int, a, z) -> tuple[int, Rat]:
+    """Orders the boundary minus a by counterclockwise travel from a, as
+    `boundary_key` does, without subtracting parameters."""
+    d = (z[0] - a[0]) % n
+    return (n if d == 0 and z[1] < a[1] else d), z[1]
+
+
 def blc(P: Polygon, Pp: Polygon, start: BoundaryPoint | Point, direction: str = "ccw") -> BlcResult:
     """Iterate the Poncelet map from a starting boundary point, stopping as
-    soon as the next image leaves the open arc back to the start."""
+    soon as the next image leaves the open arc back to the start.
+
+    The run iterates on the frame's (edge, t) pairs, clockwise in the
+    mirrored frame, and builds boundary points only for the result.
+    """
     if direction not in ("ccw", "cw"):
         raise ValueError("direction must be 'ccw' or 'cw'")
     start = _on_boundary(P, start, "start")
-    if direction == "cw":
-        Pm = mirrored(P)
-        res = blc(Pm, mirrored(Pp), mirror_point(start, Pm), "ccw")
-        return BlcResult(
-            tuple(mirror_point(b, P) for b in res.points),
-            tuple(Point(q.x, -q.y) for q in res.pivots),
-            mirror_point(res.stop_image, P),
-            "cw",
-        )
-
-    ev = right_tangent(P, Pp, start)
-    points = [start, ev.image]
-    pivots = [ev.far_pivot]
+    fr = _Frame(P, Pp, direction == "ccw")
+    n = P.n
+    x0 = fr.foot(start)
+    pivots, _, x = _step(fr, x0)
+    points, fars = [x0, x], [pivots[-1]]
     while True:
-        ev = right_tangent(P, Pp, points[-1])
-        nxt = ev.image
-        if not in_arc(points[-1], points[0], nxt, False, False):
-            stop_image = nxt
+        pivots, _, nxt = _step(fr, x)
+        if not _in_open_arc(n, x, x0, nxt):
             break
         points.append(nxt)
-        pivots.append(ev.far_pivot)
-        if len(points) > P.n + 1:
-            raise InvariantError(f"broken line exceeded its bound of {P.n + 1} points")
+        fars.append(pivots[-1])
+        x = nxt
+        if len(points) > n + 1:
+            raise InvariantError(f"broken line exceeded its bound of {n + 1} points")
     if len(points) < 3:
         raise InvariantError("broken line stopped before its third point")
-    return BlcResult(tuple(points), tuple(pivots), stop_image, "ccw")
+    return BlcResult(
+        tuple(map(fr.boundary_point, points)),
+        tuple(fr.pts[k] for k in fars),
+        fr.boundary_point(nxt),
+        direction,
+    )
 
 
 @dataclass(frozen=True)
@@ -243,7 +382,8 @@ def _on_one_host_edge(P: Polygon, u: Point, v: Point) -> bool:
 def gamma1_points(P: Polygon, Pp: Polygon) -> frozenset[BoundaryPoint]:
     """Push-outs onto the boundary of each hull vertex of Pp by its
     counterclockwise successor, kept for interior-case evaluations."""
-    hull = Pp.hull
+    fr = _Frame(P, Pp)
+    hull = fr.pts
     out: set[BoundaryPoint] = set()
     m = len(hull)
     for k in range(m):
@@ -251,7 +391,7 @@ def gamma1_points(P: Polygon, Pp: Polygon) -> frozenset[BoundaryPoint]:
         if _on_one_host_edge(P, v, succ):
             continue
         landing = ray_polygon_exit(P, succ, v - succ)
-        if right_tangent(P, Pp, landing).case == INTERIOR:
+        if _step(fr, fr.foot(landing))[1] == INTERIOR:
             out.add(landing)
     return frozenset(out)
 
@@ -269,13 +409,13 @@ def gamma_sets(P: Polygon, Pp: Polygon) -> JunctureSets:
     )
     g2: set[BoundaryPoint] = set()
     if interior:
+        # No pivot lies on the boundary, so every evaluation is in the
+        # interior case.
         for j in range(P.n):
             vertex_bp = BoundaryPoint(P, j, Rat(0))
             pre = poncelet_cw(P, Pp, vertex_bp)
-            ev = right_tangent(P, Pp, pre)
-            if ev.case == INTERIOR and ev.image == vertex_bp:
+            if poncelet(P, Pp, pre) == vertex_bp:
                 g2.add(pre)
     verts = {BoundaryPoint(P, j, Rat(0)) for j in range(P.n)}
     gamma = _arc_sorted(P, verts | set(g1) | g2)
     return JunctureSets(g1, frozenset(g2), gamma, interior)
-

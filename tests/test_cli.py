@@ -125,6 +125,22 @@ def test_blc_edge_start(sq_path, capsys):
     assert report["l"] == 4
 
 
+def test_blc_negative_point_start(tmp_path, capsys):
+    """A start whose first coordinate is negative may follow --start as a
+    separate argument, like any other start."""
+    inst = tmp_path / "shifted.json"
+    inst.write_text(json.dumps({
+        "P": [[-1, 0], [0, 0], [0, 1], [-1, 1]],
+        "Pprime": [["-3/4", "1/4"], ["-1/4", "1/4"], ["-1/4", "3/4"], ["-3/4", "3/4"]],
+    }))
+    for start, first in (("-1,0", [-1, 0]), ("-1/2,0", ["-1/2", 0])):
+        assert run_cli(["blc", str(inst), f"--start={start}", "--json"]) == 0
+        joined = capsys.readouterr().out
+        assert run_cli(["blc", str(inst), "--start", start, "--json"]) == 0
+        assert capsys.readouterr().out == joined
+        assert json.loads(joined)["points"][0] == first
+
+
 def test_degeneracy_command(tmp_path, capsys):
     inst = tmp_path / "deg.json"
     inst.write_text(json.dumps({

@@ -114,6 +114,54 @@ def test_non_degenerate_survives_extra_starts():
     assert checked > 3
 
 
+def test_vertex_early_stop_computes_no_gamma1(monkeypatch, square, corner_quad):
+    """The vertex starts run before Gamma_1 is asked for, so an instance
+    that stops early at a vertex decides without it."""
+    from polyattain import degeneracy, poncelet
+    from polyattain.attainability import ATTAINABLE_DEGENERATE, decide
+
+    def no_gamma1(P, Pp):
+        raise AssertionError("Gamma_1 computed")
+
+    monkeypatch.setattr(poncelet, "gamma1_points", no_gamma1)
+    monkeypatch.setattr(degeneracy, "gamma1_points", no_gamma1)
+    verdict = decide(square, corner_quad)
+    assert verdict.status == ATTAINABLE_DEGENERATE
+    assert verdict.certificate.reason == BLC_EARLY_STOP and verdict.certificate.start.t == 0
+
+
+def test_starts_are_the_test_points_in_order(monkeypatch):
+    """On non-degenerate instances the broken line runs from every test
+    point, vertices first and then Gamma_1, in the order of test_points."""
+    from fractions import Fraction
+
+    from polyattain import degeneracy
+    from polyattain.polygon import canonicalize_ccw
+
+    starts = []
+
+    def recorded(P, Pp, start, direction="ccw"):
+        starts.append(start)
+        return blc(P, Pp, start, direction)
+
+    monkeypatch.setattr(degeneracy, "blc", recorded)
+    rng = rng_for("vertex-starts-first")
+    with_gamma1 = 0
+    for n in range(4, 10):
+        for _ in range(3):
+            P = random_convex_polygon(rng, n)
+            c = Point(sum(v.x for v in P.vertices) / n, sum(v.y for v in P.vertices) / n)
+            shrink = 1 - Fraction(1, rng.randint(2, n * n))
+            Pp = Polygon(tuple(c + (v - c).scale(shrink) for v in P.vertices))
+            starts.clear()
+            if is_degenerate(P, Pp).degenerate:
+                continue
+            want = degeneracy_test_points(canonicalize_ccw(P)[0], Pp)
+            assert starts == want
+            with_gamma1 += len(want) > n
+    assert with_gamma1 >= 8
+
+
 def _inscribed_interpolant(rng, P, Pp):
     """Push the inner hull's vertices radially onto the boundary."""
     from polyattain.geometry import Rat
@@ -214,10 +262,10 @@ def test_witness_check_survives_optimize_flag():
             expect(lambda: degeneracy.is_degenerate(P, Pp))
         degeneracy.certify_witness = certify
 
-        in_arc = poncelet.in_arc
-        poncelet.in_arc = lambda *args: True  # the broken line never closes
+        in_arc = poncelet._in_open_arc
+        poncelet._in_open_arc = lambda *args: True  # the broken line never closes
         expect(lambda: poncelet.blc(square, corner, BoundaryPoint(square, 0, 0)))
-        poncelet.in_arc = in_arc
+        poncelet._in_open_arc = in_arc
 
         maximal = planners._is_maximal_degenerate
         planners._is_maximal_degenerate = lambda Q, P: False
@@ -229,18 +277,18 @@ def test_witness_check_survives_optimize_flag():
         expect(lambda: planners.maximal_degenerate_extend(triangle, pentagon))
         planners.co_contains = contains
 
-        exit_query = poncelet.ray_polygon_exit
-        poncelet.ray_polygon_exit = lambda P, origin, *rest: origin  # the ray exits at its foot
+        exit_query = poncelet._exit
+        poncelet._exit = lambda vs, foot, *rest: foot  # the ray exits at its foot
         expect(lambda: poncelet.right_tangent(square, corner, BoundaryPoint(square, 0, 0)))
-        poncelet.ray_polygon_exit = exit_query
+        poncelet._exit = exit_query
 
         # the tangent from (1/4, 0) runs along the host edge to (1/2, 0); with
-        # forward_sign patched it appears to run backwards
+        # the step's forward sign patched it appears to run backwards
         on_edge = polygon([("1/2", 0), ("3/4", "1/4"), ("1/2", "1/2"), ("1/4", "1/4")])
-        forward = poncelet.forward_sign
-        poncelet.forward_sign = lambda a, b, c: 0
+        forward = poncelet._forward
+        poncelet._forward = lambda f, u, v: 0
         expect(lambda: poncelet.right_tangent(square, on_edge, BoundaryPoint(square, 0, "1/4")))
-        poncelet.forward_sign = forward
+        poncelet._forward = forward
 
         # a pair on one edge whose parameters cannot be read, and a triangle
         # search whose pull-in parameters cannot be read

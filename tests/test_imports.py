@@ -5,6 +5,7 @@ The project depends on no linter, so these AST scans stand in for its
 rules."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -21,8 +22,7 @@ KEPT = {
     "kernels.BACKEND": "perfbench/run.py records it and perfbench/compare.py checks it",
     "moves.mat_apply": "the D*P = P' oracle of acceptance criterion 8",
     "polygon.polygon": "builds a polygon from coordinates for perfbench/ and the tests",
-    "poncelet.gamma_sets": "acceptance criterion 1 and tests/test_poncelet.py test the juncture "
-    "sets, and the tabulated Poncelet map of ROADMAP item 2 reads Gamma_2 from them",
+    "poncelet.gamma_sets": "acceptance criterion 1 and tests/test_poncelet.py test the juncture sets",
 }
 
 
@@ -111,3 +111,21 @@ def test_public_names_are_used_in_src():
 def test_package_does_not_shadow_its_submodules():
     assert inspect.ismodule(polyattain.polygon)
     assert inspect.ismodule(polyattain.poncelet)
+
+
+def test_perfbench_tracer_targets_resolve():
+    """Every (module, attribute) that perfbench/tracer.py wraps names a
+    callable of the package, so a rename cannot break the traced benchmark
+    unnoticed.  The tuples are read from the file, which is not imported."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    tables = {t.id: ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+              for t in node.targets if isinstance(t, ast.Name) and t.id in ("SPANS", "COUNTERS")}
+    assert set(tables) == {"SPANS", "COUNTERS"}
+    missing = []
+    for module, attr in tables["SPANS"] + tables["COUNTERS"]:
+        owner = importlib.import_module(f"polyattain.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{attr}")
+    assert missing == []

@@ -27,12 +27,12 @@ class TestRightTangent:
     def test_interior_pivot(self, square, inner_square):
         ev = right_tangent(square, inner_square, pt("1/2", 0))
         assert ev.case == INTERIOR
-        assert ev.far_pivot == pt("3/4", "1/4")
+        assert ev.pivots[-1] == pt("3/4", "1/4")
         assert ev.image.realize() == pt(1, "1/2")
 
     def test_from_corner(self, square, inner_square):
         ev = right_tangent(square, inner_square, pt(0, 0))
-        assert ev.far_pivot == pt("3/4", "1/4")
+        assert ev.pivots[-1] == pt("3/4", "1/4")
         assert ev.image.realize() == pt(1, "1/3")
 
     def test_two_collinear_pivots(self, square, inner_square):
@@ -250,10 +250,10 @@ def test_gamma_junctures_are_perspectivity_pieces():
             images = [e.image for e in evs]
             if len({im.realize() for im in images}) == 1:
                 # constant stretches only happen with pivots on the boundary
-                assert P.locate_boundary(evs[0].far_pivot) is not None
+                assert P.locate_boundary(evs[0].pivots[-1]) is not None
                 continue
-            pivot = evs[0].far_pivot
-            assert all(e.far_pivot == pivot for e in evs)
+            pivot = evs[0].pivots[-1]
+            assert all(e.pivots[-1] == pivot for e in evs)
             assert P.locate_boundary(pivot) is None  # interior center
             assert len({im.edge for im in images}) == 1
             for s, im in zip(samples, images):

@@ -1,20 +1,30 @@
-"""Differential tests of one broken-line step against brute-force oracles.
+"""Differential tests of the broken-line step against brute-force oracles.
 
-`ray_polygon_exit` finds its exit edge by orientation signs (a bisection
-from a boundary origin) and `right_tangent` finds its tangent vertex by a
-bisection over the inner hull.  The oracles below are the direct versions
-they replaced: the ray intersected with every edge in Fraction arithmetic,
-and every hull vertex tested against every other.
+`ray_polygon_exit` finds its exit edge by the orientation signs of all
+vertices.  A step of the map, in `poncelet`, finds its tangent vertex by a
+bisection over the inner hull and its exit edge by a bisection over the
+outer polygon, on linear forms in the foot's edge parameter.  The oracles
+below are the direct versions in Fraction points: the ray intersected with
+every edge, and every hull vertex tested against every other.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from polyattain.gen import random_convex_combination, random_convex_polygon, random_interior_inner
 from polyattain.geometry import Point, cross, forward_sign, orient, segment_param
-from polyattain.polygon import BoundaryPoint, Polygon, mirror_point, mirrored, ray_polygon_exit
-from polyattain.poncelet import BOUNDARY, INTERIOR, poncelet_cw, right_tangent
+from polyattain.polygon import (
+    BoundaryPoint,
+    InvariantError,
+    Polygon,
+    in_arc,
+    mirror_point,
+    mirrored,
+    ray_polygon_exit,
+)
+from polyattain.poncelet import BOUNDARY, INTERIOR, blc, poncelet_cw, right_tangent
 
 from conftest import rng_for
 
@@ -80,9 +90,8 @@ def feet(rng, P: Polygon):
 
 
 def check_exit(P, origin, d, through=None):
-    o = origin.realize() if isinstance(origin, BoundaryPoint) else origin
     try:
-        want = exit_oracle(P, o, d)
+        want = exit_oracle(P, origin, d)
     except ValueError:
         with pytest.raises(ValueError):
             ray_polygon_exit(P, origin, d, through)
@@ -113,16 +122,15 @@ def test_exit_matches_oracle_from_feet_and_interior_origins():
                 x = bp.realize()
                 z = random_convex_combination(rng, P)
                 if z != x:
-                    check_exit(P, bp, z - x, z if rng.random() < 0.5 else None)
-                    check_exit(P, x, z - x)
+                    check_exit(P, x, z - x, z if rng.random() < 0.5 else None)
                 # outward: the ray leaves P at once, so the exit is the origin
                 a, b = P.edge(bp.edge)
                 out = Point(b.y - a.y, a.x - b.x)
-                assert check_exit(P, bp, out) == bp
-                assert check_exit(P, bp, out + (b - a).scale(Fraction(rng.randint(-3, 3), 4))) == bp
+                assert check_exit(P, x, out) == bp
+                assert check_exit(P, x, out + (b - a).scale(Fraction(rng.randint(-3, 3), 4))) == bp
                 # along the foot's edge, both ways
-                check_exit(P, bp, b - a)
-                check_exit(P, bp, a - b)
+                check_exit(P, x, b - a)
+                check_exit(P, x, a - b)
             for _ in range(min(n, 12)):
                 o = random_convex_combination(rng, P)
                 d = random_convex_combination(rng, P) - o
@@ -199,20 +207,109 @@ def test_tangent_with_collinear_pivots_and_boundary_case():
     assert cases["two"] > 100 and cases[BOUNDARY] > 100
 
 
+def oracle_blc(P, Pp, start, direction, seen: Counter):
+    """(points, far pivots, stop image) of the broken line iterated with
+    tangent_oracle; clockwise, in the mirrored polygons.  seen tallies the
+    steps in the boundary case and the steps with two pivots."""
+    if direction == "cw":
+        Pm = mirrored(P)
+        points, pivots, stop = oracle_blc(Pm, mirrored(Pp), mirror_point(start, Pm), "ccw", seen)
+        return ([mirror_point(b, P) for b in points], [Point(q.x, -q.y) for q in pivots],
+                mirror_point(stop, P))
+    points, pivots = [start], []
+    while True:
+        piv, case, image = tangent_oracle(P, Pp, points[-1])
+        seen[BOUNDARY] += case == BOUNDARY
+        seen["two"] += len(piv) == 2
+        if len(points) > 1 and not in_arc(points[-1], start, image, False, False):
+            return points, pivots, image
+        points.append(image)
+        pivots.append(piv[-1])
+        assert len(points) <= P.n + 1
+
+
+def gamma1_starts(P, Pp):
+    """Landings of each inner hull vertex pushed out by its successor,
+    from the oracle exit, where the push leaves P's edges."""
+    hull = Pp.hull
+    for v, succ in zip(hull, hull[1:] + hull[:1]):
+        try:
+            landing = exit_oracle(P, succ, v - succ)
+        except ValueError:
+            continue
+        if landing.realize() != v:
+            yield landing
+
+
+def test_blc_runs_match_oracle_step():
+    """Whole runs, both directions, from vertex, edge and Gamma_1 starts,
+    against runs iterated with the oracle step: interior inner polygons,
+    inner polygons touching the boundary, Pp == P and interior shrinks,
+    whose long runs carry edge parameters of hundreds of bits."""
+    rng = rng_for("step-oracle-blc")
+    seen, runs, bits = Counter(), 0, 0
+    for n in list(range(3, 13)) + [16, 24]:
+        P = rational_polygon(rng, n)
+        touching = list(random_interior_inner(rng, P).vertices)
+        for k in rng.sample(range(n), min(n, 3)):
+            touching[k] = BoundaryPoint(P, rng.randrange(n), Fraction(rng.randint(0, 3), 4)).realize()
+        # about a centre with large denominators, which the parameters inherit
+        c = random_convex_combination(rng, P, 1009)
+        shrink = Polygon(tuple(c + (v - c).scale(1 - Fraction(1, n * n)) for v in P.vertices))
+        for Pp in (random_interior_inner(rng, P), Polygon(tuple(touching)), P, shrink):
+            if len(Pp.hull) < 3:
+                continue
+            starts = [BoundaryPoint(P, rng.randrange(n), 0),
+                      BoundaryPoint(P, rng.randrange(n), Fraction(rng.randint(1, 15), 16))]
+            starts += list(gamma1_starts(P, Pp))[:2]
+            for start in starts:
+                for direction in ("ccw", "cw"):
+                    try:
+                        want = oracle_blc(P, Pp, start, direction, seen)
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            blc(P, Pp, start, direction)
+                        continue
+                    if len(want[0]) < 3:
+                        with pytest.raises(InvariantError):
+                            blc(P, Pp, start, direction)
+                        continue
+                    got = blc(P, Pp, start, direction)
+                    assert (list(got.points), list(got.pivots), got.stop_image) == want, (P, Pp, start)
+                    runs += 1
+                    bits = max(bits, max(b.t.denominator.bit_length() for b in got.points))
+    assert runs > 250 and bits > 500
+    assert seen[BOUNDARY] > 100 and seen["two"] > 20
+
+
 def test_steps_take_logarithmic_orientation_tests(monkeypatch):
     """From a foot, the exit edge and the tangent vertex each cost O(log n)
-    orientation tests; a linear scan would make at least n."""
-    from collections import Counter
-
+    of the frame's orientation tests; a linear scan would make at least n.
+    No test of Fraction points is made."""
     from polyattain import geometry, polygon, poncelet
 
     calls = Counter()
-    for module in (polygon, poncelet):
-        def counted(a, b, c, name=module.__name__):
-            calls[name] += 1
-            return geometry.orient(a, b, c)
+    phase = ["tangent"]
+    side, exit_ = poncelet._side, poncelet._exit
 
-        monkeypatch.setattr(module, "orient", counted)
+    def counted_side(f, u, v):
+        calls[phase[0]] += 1
+        return side(f, u, v)
+
+    def counted_exit(*args):
+        phase[0] = "exit"
+        try:
+            return exit_(*args)
+        finally:
+            phase[0] = "tangent"
+
+    def counted_orient(a, b, c):
+        calls["points"] += 1
+        return geometry.orient(a, b, c)
+
+    monkeypatch.setattr(poncelet, "_side", counted_side)
+    monkeypatch.setattr(poncelet, "_exit", counted_exit)
+    monkeypatch.setattr(polygon, "orient", counted_orient)
     rng = rng_for("step-cost")
     n = 128
     P = random_convex_polygon(rng, n)
@@ -222,5 +319,6 @@ def test_steps_take_logarithmic_orientation_tests(monkeypatch):
     for bp in feet(rng, P):
         calls.clear()
         assert right_tangent(P, Pp, bp).case == INTERIOR
-        assert calls["polyattain.polygon"] <= 2 + 7 + 1  # two end signs, the bisection
-        assert calls["polyattain.poncelet"] <= 2 + 2 * 7 + 3  # two slopes, the bisection, the checks
+        assert calls["exit"] <= 2 + 7 + 1  # two end signs, the bisection
+        assert calls["tangent"] <= 2 + 2 * 7 + 3  # two slopes, the bisection, the checks
+        assert calls["points"] == 0
