@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Point, Rat, orient
+from .geometry import Rat, orient
 from .polygon import (
     BoundaryPoint,
     InvariantError,
@@ -48,17 +48,10 @@ def _certified(P: Polygon, Pp: Polygon, w: Polygon) -> Polygon:
     return w
 
 
-def _segment_extremes(points: list[Point]) -> tuple[Point, Point]:
-    """Endpoints of the segment spanned by a collinear point set."""
-    lo = min(points)
-    hi = max(points)
-    return lo, hi
-
-
 def _collinear_witness(P: Polygon, Pp: Polygon) -> Polygon:
     """Triangle through the inner segment plus the lowest-index outer vertex
     off its line; requires a set-convex P with n >= 4."""
-    a, b = _segment_extremes(list(Pp.vertices))
+    a, b = min(Pp.vertices), max(Pp.vertices)
     if a == b:
         for v in P.vertices:
             if v != a:

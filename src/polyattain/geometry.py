@@ -104,12 +104,7 @@ def convex_hull(points: list[Point]) -> list[Point]:
         while len(upper) >= 2 and orient(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) == 0:  # all points collinear: lower is the sorted chain
-        return [pts[0], pts[-1]]
-    if len(hull) == 2 and hull[0] == hull[1]:
-        return [hull[0]]
-    return hull
+    return lower[:-1] + upper[:-1]
 
 
 def collinear_points(points: list[Point]) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .degeneracy import certify_witness
-from .geometry import Point, Rat, segment_contains, segment_param
+from .geometry import Point, Rat, cross, segment_contains, segment_param
 from .moves import (
     MoveScript,
     PullIn,
@@ -439,7 +439,12 @@ def _plan_segment(P: Polygon, Pp: Polygon) -> MoveScript:
             raise PlannerError("containment violated in point-hull plan")
         return MoveScript(P, tuple())
     base, top = hull[0], hull[-1]
-    t = lambda q: segment_param(base, top, q)
+
+    def t(q: Point) -> Rat:
+        s = segment_param(base, top, q)
+        if s is None:
+            raise PlannerError("segment plan met a point off its hull's line")
+        return s
 
     def pin(k: int) -> None:
         """Move slot k straight to its target across the bracketed hull."""
@@ -451,15 +456,7 @@ def _plan_segment(P: Polygon, Pp: Polygon) -> MoveScript:
         pull(k, anchor, goal[k])
 
     k_lo = min(range(n), key=lambda k: (t(goal[k]), k))
-    k_hi = max(range(n), key=lambda k: (t(goal[k]), -k))
-    if k_lo == k_hi:  # all targets coincide
-        pin(k_lo)
-        for k in range(n):
-            if k != k_lo:
-                pull(k, k_lo, goal[k])
-        if cur != goal:
-            raise PlannerError("segment plan missed its target")
-        return MoveScript(P, tuple(moves))
+    k_hi = max(range(n), key=lambda k: (t(goal[k]), -k))  # k_lo when the targets coincide
     mslot = min(range(n), key=lambda k: (t(cur[k]), k))
     Mslot = max(range(n), key=lambda k: (t(cur[k]), -k))
     if k_hi == mslot and k_lo == Mslot:
@@ -484,70 +481,37 @@ def _plan_segment(P: Polygon, Pp: Polygon) -> MoveScript:
 
 
 def _plan_triangle(P: Polygon, Pp: Polygon) -> MoveScript:
-    """n = 3 with collinear targets inside a genuine triangle: breadth-first
-    search over a closed set of structured landings.
+    """n = 3 with collinear targets inside a genuine triangle, by
+    construction in at most 3 + 4 = 7 moves.
 
-    Candidate landings are the targets, the chord of the target line, the
-    triangle's vertices, push-through points from each vertex through each
-    target, and full pulls onto another slot; this closure is small, so the
-    search is exhaustive.
+    L is the line through the lowest and highest targets, or through the
+    single target and the first vertex of P apart from it.  Each vertex off
+    L is pulled toward a vertex strictly on the other side until it meets L,
+    the vertex alone on its side last; one with nothing beyond L pulls fully
+    onto a vertex already on L.  The three vertices then span the chord of L
+    in P, which holds every target, and the segment planner finishes.
     """
-    hull = Polygon(P.hull)  # CCW copy for the boundary constructions
-    verts = list(P.vertices)
-    goal = tuple(Pp.vertices)
-    landings: set[Point] = set(verts) | set(goal)
-    gpts = [g for g in goal]
-    distinct = sorted(set(gpts))
-    if len(distinct) >= 2:
-        u, v = distinct[0], distinct[-1]
-        for w, z in ((u, v), (v, u)):
-            landings.add(_push_landing(hull, w, z))
-    for pvx in verts:
-        for g in set(gpts):
-            if g != pvx:
-                landings.add(_push_landing(hull, pvx, g))
-
-    start = tuple(P.vertices)
-    if start == goal:
-        return MoveScript(P, tuple())
-    frontier = {start: []}
-    seen = {start}
-    for _ in range(10):
-        nxt: dict[tuple, list] = {}
-        for state, path in frontier.items():
-            for mover in range(3):
-                for anchor in range(3):
-                    if anchor == mover:
-                        continue
-                    a, b = state[mover], state[anchor]
-                    options = [q for q in landings if segment_contains(a, b, q)]
-                    if b not in options:
-                        options.append(b)
-                    for q in options:
-                        if q == a:
-                            continue
-                        ns = list(state)
-                        ns[mover] = q
-                        ns_t = tuple(ns)
-                        if ns_t in seen:
-                            continue
-                        c = segment_param(a, b, q)
-                        if c is None or not 0 <= c <= 1:
-                            raise PlannerError("triangle search left the pull-in segment")
-                        npath = path + [PullIn(mover, anchor, c)]
-                        if ns_t == goal:
-                            return MoveScript(P, tuple(npath))
-                        seen.add(ns_t)
-                        nxt[ns_t] = npath
-        frontier = nxt
-        if not frontier:
-            break
-    raise PlannerError("triangle search found no degenerate plan")
+    a, b = min(Pp.vertices), max(Pp.vertices)
+    if a == b:
+        b = next(v for v in P.vertices if v != a)
+    cur = list(P.vertices)
+    side = [cross(b - a, v - a) for v in cur]  # signed, 0 on L
+    alone = lambda k: sum(s * side[k] > 0 for s in side) == 1
+    moves: list[PullIn] = []
+    for k in sorted((k for k in range(3) if side[k]), key=alone):
+        beyond = [j for j in range(3) if side[j] * side[k] < 0]
+        j = beyond[0] if beyond else side.index(0)
+        c = side[k] / (side[k] - side[j])  # 1 when j is on L
+        moves.append(PullIn(k, j, c))
+        cur[k] = cur[k] + (cur[j] - cur[k]).scale(c)
+        side[k] = 0
+    return MoveScript(P, tuple(moves) + _plan_segment(Polygon(tuple(cur)), Pp).moves)
 
 
 def plan_degenerate(P: Polygon, Pp: Polygon, witness: Polygon | None) -> PlanOutcome:
     """Script of fewer than 5n pull-ins reaching a degenerately contained
-    polygon, following the constructive cases of the bound."""
+    polygon, following the constructive cases of the bound; a triangle
+    takes at most 7."""
     if witness is not None and not certify_witness(P, Pp, witness):
         raise ValueError("witness fails certification")
     if len(P.hull) <= 2:

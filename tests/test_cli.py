@@ -22,6 +22,9 @@ SQ = {
 }
 
 
+CORNER = dict(SQ, Pprime=[["1/4", "1/4"], ["1/2", "1/4"], ["1/2", "1/2"], ["1/4", "1/2"]])
+
+
 @pytest.fixture
 def sq_path(tmp_path):
     p = tmp_path / "sq.json"
@@ -105,6 +108,83 @@ def test_verify_rejects_bad_script(sq_path, tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().out
 
 
+def test_verify_rejects_script_from_another_start(sq_path, tmp_path, capsys):
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"start": SQ["Pprime"], "moves": []}))
+    assert run_cli(["verify", sq_path, str(other)]) == 1
+    assert capsys.readouterr().out == "fail: script start differs from instance P\n"
+
+
+@pytest.mark.parametrize("instance, reason", [
+    (CORNER, "BlcEarlyStop"),
+    ({"P": [[0, 0], [4, 0], [0, 4]], "Pprime": [[1, 1], [3, 1], [0, 1]]}, "CollinearInner"),
+], ids=["witness", "triangle"])
+def test_decide_json_degeneracy_certificate(instance, reason, tmp_path, capsys):
+    """A degenerate verdict reports why, with a witness polygon except at
+    n = 3, where collinear targets decide without one."""
+    inst = tmp_path / "deg.json"
+    inst.write_text(json.dumps(instance))
+    assert run_cli(["decide", str(inst), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "AttainableDegenerate"
+    cert = report["certificate"]
+    assert cert["kind"] == "degeneracy" and cert["reason"] == reason
+    if report["n"] == 3:
+        assert cert["witness"] is None
+    else:
+        assert 3 <= len(cert["witness"]) < report["n"]
+
+
+def test_decide_json_lists_tested_pushouts(tmp_path, capsys):
+    """An Unattainable report lists the 2n rejected push-outs of an inner
+    polygon with every vertex interior, with the runs that failed."""
+    inst = tmp_path / "shrunk.json"
+    inst.write_text(json.dumps(dict(SQ, Pprime=[
+        ["199/200", "1/200"], ["199/200", "199/200"], ["1/200", "199/200"], ["1/200", "1/200"],
+    ])))
+    assert run_cli(["decide", str(inst), "--plan", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "Unattainable" and "plan" not in report
+    pushouts = report["tested_pushouts"]
+    assert [(r["vertex"], r["pusher"]) for r in pushouts] == [
+        (1, 4), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3), (4, 1)
+    ]
+    assert all(r["why"] == "threshold test failed" for r in pushouts)
+    # a landing off the two edges at its own corner leaves nothing to run
+    assert [len(r["failed_runs"]) for r in pushouts] == [0, 1] * 4
+
+
+@pytest.mark.parametrize("args", [
+    ["decide", "{sq}", "--json", "--decimal"],
+    ["blc", "{sq}", "--start", "0,0", "--json", "--decimal"],
+], ids=["decide", "blc"])
+def test_decimal_adds_approximations(args, sq_path, capsys):
+    """Each broken-line point keeps its exact coordinates and gains their
+    nearest floats."""
+    assert run_cli([a.format(sq=sq_path) for a in args]) == 0
+    report = json.loads(capsys.readouterr().out)
+    points = report["certificate"]["blc_points"] if args[0] == "decide" else report["points"]
+    assert points
+    for p in points:
+        assert set(p) == {"exact", "approx"}
+        assert p["approx"] == [float(pio.parse_rat(v)) for v in p["exact"]]
+
+
+def test_matrix_command(sq_path, tmp_path, capsys):
+    """The product of a planned script's factors is row-stochastic and maps
+    P onto Pprime."""
+    plan_path = tmp_path / "plan.json"
+    assert run_cli(["plan", sq_path, "-o", str(plan_path)]) == 0
+    capsys.readouterr()
+    assert run_cli(["matrix", str(plan_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["stochastic"] is True
+    assert len(report["factors"]) == len(json.loads(plan_path.read_text())["moves"]) > 0
+    D = [[pio.parse_rat(v) for v in row] for row in report["product"]]
+    P, Pp = ([[pio.parse_rat(v) for v in p] for p in SQ[key]] for key in ("P", "Pprime"))
+    assert [[sum(D[i][k] * P[k][c] for k in range(4)) for c in range(2)] for i in range(4)] == Pp
+
+
 def test_blc_command(sq_path, tmp_path, capsys):
     svg = str(tmp_path / "blc.svg")
     assert run_cli(["blc", sq_path, "--start", "0,0", "--svg", svg, "--json"]) == 0
@@ -143,10 +223,7 @@ def test_blc_negative_point_start(tmp_path, capsys):
 
 def test_degeneracy_command(tmp_path, capsys):
     inst = tmp_path / "deg.json"
-    inst.write_text(json.dumps({
-        "P": SQ["P"],
-        "Pprime": [["1/4", "1/4"], ["1/2", "1/4"], ["1/2", "1/2"], ["1/4", "1/2"]],
-    }))
+    inst.write_text(json.dumps(CORNER))
     assert run_cli(["degeneracy", str(inst), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["degenerate"] is True and report["witness"]
@@ -195,10 +272,7 @@ def test_gen_scales_to_n_64(tmp_path):
 
 def test_decide_batch_jobs(sq_path, tmp_path, capsys):
     other = tmp_path / "deg.json"
-    other.write_text(json.dumps({
-        "P": SQ["P"],
-        "Pprime": [["1/4", "1/4"], ["1/2", "1/4"], ["1/2", "1/2"], ["1/4", "1/2"]],
-    }))
+    other.write_text(json.dumps(CORNER))
     assert run_cli(["decide", sq_path, str(other), "--jobs", "2"]) == 0
     out = capsys.readouterr().out
     assert out.count("verdict:") == 2
@@ -292,6 +366,15 @@ BAD_FILE_COMMANDS = [
 ] + [
     pytest.param(["blc", "{sq}", "--start", "1:1/0"], None, id="blc-start-edge-1/0"),
     pytest.param(["blc", "{sq}", "--start", "1/0,0"], None, id="blc-start-point-1/0"),
+    pytest.param(["blc", "{sq}", "--start", "9:0"], None, id="blc-start-edge-out-of-range"),
+    pytest.param(["blc", "{sq}", "--start", "1/2,1/2"], None, id="blc-start-off-boundary"),
+    pytest.param(["blc", "{content}", "--start", "0,0"],
+                 json.dumps(dict(SQ, Pprime=[[0, 0], [1, 0], [1, 1], [0, 2]])), id="blc-not-contained"),
+    pytest.param(["blc", "{content}", "--start", "0,0"],
+                 json.dumps(dict(CORNER, P=[[0, 0], [1, 0], [2, 0], [0, 2]])), id="blc-not-set-convex"),
+    pytest.param(["blc", "{content}", "--start", "0,0"],
+                 json.dumps(dict(SQ, Pprime=[["1/4", "1/4"], ["1/2", "1/2"], ["3/4", "3/4"], ["1/4", "1/4"]])),
+                 id="blc-collinear-pprime"),
     pytest.param(["gen", "-o", "{out}"], None, id="gen-out-missing-dir"),
     pytest.param(["plan", "{sq}", "-o", "{out}"], None, id="plan-out-missing-dir"),
     pytest.param(["blc", "{sq}", "--start", "0,0", "--svg", "{out}"], None, id="blc-svg-missing-dir"),
@@ -299,14 +382,15 @@ BAD_FILE_COMMANDS = [
 def test_bad_input_is_one_error_line(args, text, sq_path, tmp_path, capsys):
     """Bad input or an unwritable output path is exit code 2 with exactly
     one `error: ...` line on stderr, which names the file at fault once.
-    `text` is the content of the bad file, None for a missing one."""
+    `text` is the content of the bad file, None for a missing one; a file
+    given as `{content}` is readable, and only its geometry is at fault."""
     bad, out = tmp_path / "bad.json", tmp_path / "missing-dir" / "out.json"
     if text is not None:
         bad.write_text(text)
     script = tmp_path / "script.json"
     script.write_text(json.dumps({"start": SQ["P"], "moves": []}))
     fault = bad if "{bad}" in args else out if "{out}" in args else None
-    args = [a.format(sq=sq_path, bad=bad, out=out, script=script) for a in args]
+    args = [a.format(sq=sq_path, bad=bad, content=bad, out=out, script=script) for a in args]
     with pytest.raises(SystemExit) as e:
         run_cli(args)
     assert e.value.code == 2

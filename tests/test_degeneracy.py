@@ -232,8 +232,9 @@ def test_witness_check_survives_optimize_flag():
     """With the predicate behind each explicit check patched to fail, every
     degenerate branch raises WitnessError; the BLC length bound, the
     maximal-degenerate invariants, both checks of a tangent step and the
-    edge push raise InvariantError; and the triangle search raises
-    PlannerError, even under `python -O`, where assert statements vanish."""
+    edge push raise InvariantError; and the triangle plan raises
+    PlannerError where the segment planner reads its targets' parameters,
+    even under `python -O`, where assert statements vanish."""
     child = textwrap.dedent("""
         from polyattain import degeneracy, planners, poncelet
         from polyattain.polygon import BoundaryPoint, InvariantError, polygon
@@ -291,7 +292,7 @@ def test_witness_check_survives_optimize_flag():
         poncelet._forward = forward
 
         # a pair on one edge whose parameters cannot be read, and a triangle
-        # search whose pull-in parameters cannot be read
+        # plan whose chord parameters cannot be read
         planners.segment_param = lambda a, b, q: None
         mates = polygon([("1/4", 0), ("1/2", 0), ("1/2", "1/2")]).vertices[:2]
         expect(lambda: planners._edge_push_target(*square.edge(0), *mates))

@@ -70,7 +70,9 @@ def test_convex_hull_examples():
     sq = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1), pt("1/2", "1/2")]
     assert convex_hull(sq) == [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
     assert convex_hull([pt(0, 0), pt(1, 1), pt(2, 2)]) == [pt(0, 0), pt(2, 2)]
+    assert convex_hull([pt(1, 1), pt(2, 2), pt(0, 0), pt(1, 1)]) == [pt(0, 0), pt(2, 2)]
     assert convex_hull([pt(0, 0)]) == [pt(0, 0)]
+    assert convex_hull([pt(1, 2)] * 3) == [pt(1, 2)]
 
 
 @given(st.lists(points, min_size=1, max_size=12))

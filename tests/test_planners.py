@@ -2,15 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from polyattain.attainability import decide, threshold_test, vestibule_test
+from polyattain.attainability import ATTAINABLE_DEGENERATE, decide, threshold_test, vestibule_test
 from polyattain.degeneracy import is_degenerate
 from polyattain.gen import generate
 from polyattain.geometry import pt
-from polyattain.moves import PushOut, verify_script
+from polyattain.moves import PullIn, PushOut, verify_script
 from polyattain.planners import (
     DEGENERATE_LT_5N,
     THRESHOLD_2N_MINUS_1,
     VESTIBULE_2N,
+    PlannerError,
+    _plan_segment,
     plan_degenerate,
     plan_threshold,
     plan_vestibule,
@@ -150,3 +152,59 @@ def test_orientation_persists_in_nondegenerate_traces():
             if state.is_set_convex:
                 assert state.is_convex_ccw
     assert seen > 5
+
+
+LINE = [(0, 0), (1, 0), (2, 0), (3, 0)]
+
+
+@pytest.mark.parametrize("P, Pp, first", [
+    (LINE, [("1/2", 0), ("5/2", 0), (1, 0), (2, 0)], None),
+    # slot 0 holds the minimum and must reach the highest target, slot 3 the
+    # reverse: slot 1 first parks on the maximum with a full pull
+    (LINE, [(2, 0), ("3/2", 0), ("3/2", 0), (1, 0)], PullIn(1, 3, Fraction(1))),
+    ([(0, 0), (2, 2), (1, 1), (2, 2)], [(1, 1)] * 4, None),
+    ([(1, 1)] * 4, [(1, 1)] * 4, None),
+], ids=["segment", "segment-swap", "segment-one-target", "point"])
+def test_plan_outer_hull_segment_or_point(P, Pp, first):
+    """A collinear outer polygon is planned in one dimension; its witness
+    is its hull segment with the top end repeated."""
+    P, Pp = polygon(P), polygon(Pp)
+    v = decide(P, Pp, plan_moves=True)
+    assert v.status == ATTAINABLE_DEGENERATE
+    a, b = P.hull[0], P.hull[-1]
+    assert v.certificate.witness == Polygon((a, b, b))
+    assert v.plan.bound_class == DEGENERATE_LT_5N
+    assert verify_script(v.plan.script, Pp).ok
+    if first is not None:
+        assert v.plan.script.moves[0] == first
+
+
+def test_segment_plan_rejects_a_target_off_its_line():
+    with pytest.raises(PlannerError, match="off its hull's line"):
+        _plan_segment(polygon(LINE), polygon([(1, 1), (1, 0), (2, 0), (3, 0)]))
+
+
+TRIANGLE = [(0, 0), (4, 0), (0, 4)]
+COLLINEAR_TARGETS = {
+    "interior-chord": [(1, 1), (3, 1), (0, 1)],  # the whole chord of y = 1
+    "edge": [(1, 0), (4, 0), (2, 0)],
+    "through-vertex": [("1/2", "1/2"), (2, 2), (1, 1)],
+    "interior-point": [(1, 1)] * 3,
+    "vertex": [(4, 0)] * 3,
+}
+
+
+@pytest.mark.parametrize("orientation", ["ccw", "cw"])
+@pytest.mark.parametrize("case", sorted(COLLINEAR_TARGETS))
+def test_triangle_plans_collinear_targets_by_construction(case, orientation):
+    """A triangle reaches collinear targets by pulling its vertices onto
+    their line and finishing on the chord: at most 3 + 4 = 7 moves."""
+    order = [0, 1, 2] if orientation == "ccw" else [2, 1, 0]
+    P = polygon([TRIANGLE[k] for k in order])
+    Pp = polygon([COLLINEAR_TARGETS[case][k] for k in order])
+    assert P.is_convex_ccw == (orientation == "ccw")
+    v = decide(P, Pp, plan_moves=True)
+    assert v.status == ATTAINABLE_DEGENERATE
+    assert v.plan.bound_class == DEGENERATE_LT_5N
+    assert len(v.plan.script.moves) <= 7
+    assert verify_script(v.plan.script, Pp).ok
