@@ -25,6 +25,11 @@ ATTAINABLE_VESTIBULE = "AttainableVestibule"
 UNATTAINABLE = "Unattainable"
 UNKNOWN_N3 = "UnknownN3"
 
+# Why a threshold probe failed: no run possible, or the runs were rejected.
+NOT_CONVEX = "polygon not convex CCW"
+OFF_CORNER = "vertex on neither edge at its corner"
+TEST_FAILED = "threshold test failed"
+
 
 @dataclass(frozen=True)
 class VestibuleCertificate:
@@ -63,35 +68,36 @@ def threshold_test(P: Polygon, Pp: Polygon, i: int) -> BlcResult | None:
     bp = P.locate_boundary(Pp.vertices[i])
     if bp is None:
         raise ValueError("threshold test needs the chosen vertex on the boundary")
-    cert, _ = _threshold_probe(P, Pp, i, bp)
-    return cert
+    return _threshold_probe(P, Pp, i, bp)[0]
 
 
 def _threshold_probe(
     P: Polygon, Pp: Polygon, i: int, bp: BoundaryPoint
-) -> tuple[BlcResult | None, tuple[BlcResult, ...]]:
-    """threshold_test from vertex i, already located at bp, plus the
-    rejected runs, for audit trails."""
+) -> tuple[BlcResult | None, str | None, tuple[BlcResult, ...]]:
+    """threshold_test from vertex i, already located at bp, plus, when it
+    fails, why and the rejected runs, for audit trails."""
     n = P.n
     if not Pp.is_convex_ccw:
-        return None, tuple()
+        return None, NOT_CONVEX, tuple()
     prev_edge, this_edge = (i - 1) % n, i % n
     v_prev = BoundaryPoint(P, prev_edge, 0)
     v_next = BoundaryPoint(P, (i + 1) % n, 0)
     on_prev = (bp.edge == prev_edge and bp.t > 0) or (bp.edge == this_edge and bp.t == 0)
     on_this = bp.edge == this_edge
+    if not (on_prev or on_this):
+        return None, OFF_CORNER, tuple()
     failures = []
     if on_prev:
         res = blc(P, Pp, bp, "ccw")
         if res.l == n and in_arc(v_prev, bp, res.points[-1], True, False):
-            return res, tuple()
+            return res, None, tuple()
         failures.append(res)
     if on_this:
         res = blc(P, Pp, bp, "cw")
         if res.l == n and in_arc(bp, v_next, res.points[-1], False, True):
-            return res, tuple()
+            return res, None, tuple()
         failures.append(res)
-    return None, tuple(failures)
+    return None, TEST_FAILED, tuple(failures)
 
 
 def vestibule_test(
@@ -111,14 +117,10 @@ def vestibule_test(
     boundary_vertices = [(i, bp) for i, bp in located if bp is not None]
     if boundary_vertices:
         for i, bp in boundary_vertices:
-            cert, failures = _threshold_probe(P, Pp, i, bp)
+            cert, why, failures = _threshold_probe(P, Pp, i, bp)
             if cert is not None:
                 return VestibuleCertificate(None, i, cert), tuple(audit)
-            audit.append(
-                RejectionRecord(
-                    i, None, Pp.vertices[i], "threshold test failed", failures
-                )
-            )
+            audit.append(RejectionRecord(i, None, Pp.vertices[i], why, failures))
         return None, tuple(audit)
     for i in range(n):
         for pusher in ((i - 1) % n, (i + 1) % n):
@@ -126,15 +128,13 @@ def vestibule_test(
             landing_bp = ray_polygon_exit(P, origin, through - origin, through)
             landing = landing_bp.realize()
             pushed = Pp.replace(i, landing)
-            cert, failures = _threshold_probe(P, pushed, i, landing_bp)
+            cert, why, failures = _threshold_probe(P, pushed, i, landing_bp)
             if cert is not None:
                 return (
                     VestibuleCertificate(PushOut(i, pusher, landing), i, cert),
                     tuple(audit),
                 )
-            audit.append(
-                RejectionRecord(i, pusher, landing, "threshold test failed", failures)
-            )
+            audit.append(RejectionRecord(i, pusher, landing, why, failures))
     return None, tuple(audit)
 
 

@@ -182,16 +182,22 @@ def _parse_start(P: Polygon, text: str) -> BoundaryPoint:
     return bp
 
 
-def cmd_blc(args) -> int:
-    P, Pp, _ = pio.load_instance(args.instance)
+def _load_contained(path: str) -> tuple[Polygon, Polygon]:
+    """P and Pprime of the instance at path, once Pprime lies in co(P)."""
+    P, Pp, _ = pio.load_instance(path)
     if not co_contains(P, Pp):
-        raise ValueError("containment violated")
+        raise ValueError(f"{path}: containment violated")
+    return P, Pp
+
+
+def cmd_blc(args) -> int:
+    P, Pp = _load_contained(args.instance)
     canon = canonicalize_ccw(P)
     if canon is None:
-        raise ValueError("P must be set-convex for the broken line construction")
+        raise ValueError(f"{args.instance}: P must be set-convex for the broken line construction")
     Pc, _ = canon
     if Pp.is_collinear:
-        raise ValueError("Pprime must not be collinear")
+        raise ValueError(f"{args.instance}: Pprime must not be collinear")
     start = _parse_start(Pc, args.start)
     res = blc(Pc, Pp, start, "cw" if args.cw else "ccw")
     report = {
@@ -216,7 +222,7 @@ def cmd_blc(args) -> int:
 
 
 def cmd_degeneracy(args) -> int:
-    P, Pp, _ = pio.load_instance(args.instance)
+    P, Pp = _load_contained(args.instance)
     v = is_degenerate(P, Pp)
     report = {
         "degenerate": v.degenerate,
@@ -233,7 +239,7 @@ def cmd_degeneracy(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    P, Pp, _ = pio.load_instance(args.instance)
+    P, Pp = _load_contained(args.instance)
     verdict = decide(P, Pp, plan_moves=True)
     if verdict.plan is None:
         print(f"verdict: {verdict.status}; no plan exists", file=sys.stderr)

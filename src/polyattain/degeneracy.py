@@ -12,7 +12,6 @@ from .polygon import (
     BoundaryPoint,
     InvariantError,
     Polygon,
-    boundary_key,
     canonicalize_ccw,
     co_contains,
 )
@@ -77,7 +76,7 @@ def is_degenerate(P: Polygon, Pp: Polygon) -> DegeneracyVerdict:
     polygon, so step (2) decides and no witness polygon is emitted.
     """
     if not co_contains(P, Pp):
-        raise ValueError("containment precondition violated")
+        raise ValueError("containment violated")
     n = P.n
     if not P.is_set_convex:
         if n == 3:
@@ -110,13 +109,10 @@ def is_degenerate(P: Polygon, Pp: Polygon) -> DegeneracyVerdict:
 
 
 def test_points(P: Polygon, Pp: Polygon) -> list[BoundaryPoint]:
-    """T = vertices of P then Gamma_1, in a fixed deterministic order."""
+    """T = vertices of P then Gamma_1, each in counterclockwise order from
+    vertex 0."""
     verts = [BoundaryPoint(P, j, Rat(0)) for j in range(P.n)]
-    anchor = verts[0]
-    extra = sorted(
-        gamma1_points(P, Pp) - set(verts), key=lambda b: boundary_key(anchor, b)
-    )
-    return verts + extra
+    return verts + sorted(gamma1_points(P, Pp) - set(verts), key=lambda b: (b.edge, b.t))
 
 
 def _starts(P: Polygon, Pp: Polygon):

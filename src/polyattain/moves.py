@@ -170,11 +170,14 @@ def is_stochastic(D: Matrix) -> bool:
 
 def script_to_matrix(s: MoveScript) -> tuple[Matrix, list[Matrix]]:
     """The ordered elementary factors of a script and their product D, with
-    D * start == replay(s) exactly (factors multiply on the left)."""
+    D * start == replay(s) exactly (factors multiply on the left).
+
+    K^{ij}(c) * D differs from D only in row i, which becomes
+    (1-c)*row_i + c*row_j, so each factor costs one row update.
+    """
     n = s.start.n
     factors = [elementary_matrix(n, m.mover, m.target, m.c) for m in s.moves]
-    D = identity_matrix(n)
-    for K in factors:
-        D = mat_mul(K, D)
-    return D, factors
-
+    D = [list(r) for r in identity_matrix(n)]
+    for m in s.moves:
+        D[m.mover] = [(1 - m.c) * a + m.c * b for a, b in zip(D[m.mover], D[m.target])]
+    return tuple(map(tuple, D)), factors

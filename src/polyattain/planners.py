@@ -25,14 +25,10 @@ from .moves import (
     verify_script,
 )
 from .polygon import (
-    BoundaryPoint,
     InvariantError,
     Polygon,
-    boundary_key,
     canonicalize_ccw,
     co_contains,
-    mirror_point,
-    mirrored,
     ray_polygon_exit,
 )
 
@@ -339,10 +335,8 @@ def maximal_degenerate_extend(Q: Polygon, P: Polygon) -> Polygon:
     out = rec.current
     if not _is_maximal_degenerate(out, P):
         raise InvariantError(f"{out!r} is not maximal degenerate in {P!r}")
-    anchor = BoundaryPoint(P, 0, Rat(0))
-    result = Polygon(tuple(sorted(
-        out.vertices, key=lambda q: boundary_key(anchor, P.locate_boundary(q))
-    )))
+    located = sorted(map(P.locate_boundary, out.vertices), key=lambda b: (b.edge, b.t))
+    result = Polygon(tuple(b.realize() for b in located))
     if not (result.is_convex_ccw and co_contains(P, result) and co_contains(result, Q)):
         raise InvariantError(f"{result!r} is not convex CCW between {Q!r} and {P!r}")
     return result
@@ -527,37 +521,26 @@ def plan_degenerate(P: Polygon, Pp: Polygon, witness: Polygon | None) -> PlanOut
     return finish_plan(script, Pp, DEGENERATE_LT_5N)
 
 
-def _plan_threshold_ccw(P: Polygon, Pp: Polygon, i: int, xs: list[Point]) -> MoveScript:
-    """Push-out chain of the threshold construction, counterclockwise case:
-    successive vertices go out onto the broken-line points, the boundary
-    vertex goes out to its own corner, and the occupancy sweep finishes."""
-    n = P.n
-    rec = _PushRecorder(Pp)
-    for k in range(1, n):
-        rec.push((i + k) % n, (i + k - 1) % n, xs[k])
-    rec.push(i, (i - 1) % n, P.vertices[i])
-    _sweep_occupy_all(rec, P)
-    if rec.current != P:
-        raise PlannerError("threshold plan did not land on the start polygon")
-    return rec.to_script()
-
-
 def plan_threshold(P: Polygon, Pp: Polygon, i: int, cert) -> PlanOutcome:
     """At most 2n-1 pull-ins onto a threshold member, from its certificate.
 
     P must be convex CCW and slot-aligned with Pp; cert is the accepted
-    BlcResult (its direction selects the case, the clockwise one planned in
-    the mirrored frame)."""
+    BlcResult.  One push-out chain serves both directions, with d = +1 for
+    a counterclockwise certificate and -1 for a clockwise one: vertices
+    i+d, i+2d, ... go out onto the broken-line points, vertex i goes out to
+    its own corner pushed by vertex i-d, and the occupancy sweep finishes.
+    """
     if Pp == P:
         return finish_plan(MoveScript(P, tuple()), Pp, THRESHOLD_2N_MINUS_1)
-    if cert.direction == "ccw":
-        script = _plan_threshold_ccw(P, Pp, i, [b.realize() for b in cert.points])
-    else:  # the counterclockwise plan in the mirrored frame, whose slot k is slot n-1-k here
-        n, Pm = P.n, mirrored(P)
-        xs = [mirror_point(b, Pm).realize() for b in cert.points]
-        script = _plan_threshold_ccw(Pm, mirrored(Pp), n - 1 - i, xs)
-        script = relabel(script, P, tuple(range(n - 1, -1, -1)))
-    return finish_plan(script, Pp, THRESHOLD_2N_MINUS_1)
+    n, d = P.n, (1 if cert.direction == "ccw" else -1)
+    rec = _PushRecorder(Pp)
+    for k in range(1, n):
+        rec.push((i + k * d) % n, (i + (k - 1) * d) % n, cert.points[k].realize())
+    rec.push(i, (i - d) % n, P.vertices[i])
+    _sweep_occupy_all(rec, P)
+    if rec.current != P:
+        raise PlannerError("threshold plan did not land on the start polygon")
+    return finish_plan(rec.to_script(), Pp, THRESHOLD_2N_MINUS_1)
 
 
 def plan_vestibule(

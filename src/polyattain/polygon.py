@@ -127,20 +127,6 @@ def canonicalize_ccw(P: Polygon) -> tuple[Polygon, tuple[int, ...]] | None:
     return Polygon(P.hull), sigma
 
 
-def mirrored(P: Polygon) -> Polygon:
-    """Reflection across the x-axis with reversed vertex order: vertex k is
-    the image of vertex n-1-k, so a convex CCW polygon stays convex CCW.
-    The clockwise constructions run counterclockwise in this frame."""
-    return Polygon(tuple(Point(v.x, -v.y) for v in reversed(P.vertices)))
-
-
-def mirror_point(bp: BoundaryPoint, Pm: Polygon) -> BoundaryPoint:
-    """bp reflected onto Pm == mirrored(bp.host), by index arithmetic alone:
-    (e, t) goes to (-2-e, 1-t), which the constructor turns into (-1-e, 0)
-    for a vertex.  Mirroring back with the old host undoes it."""
-    return BoundaryPoint(Pm, -2 - bp.edge, 1 - bp.t)
-
-
 @dataclass(frozen=True)
 class BoundaryPoint:
     """A point of the boundary of a convex CCW polygon, as (edge, t).
@@ -216,21 +202,22 @@ def ray_polygon_exit(
     return BoundaryPoint(P, i, cross(origin - a, direction) / cross(b - a, direction))
 
 
-def boundary_key(anchor: BoundaryPoint, z: BoundaryPoint) -> tuple[int, Rat]:
-    """Sort key of z by counterclockwise travel from the anchor.
+def arc_key(n: int, a: tuple[int, Rat], z: tuple[int, Rat]) -> tuple[int, Rat]:
+    """Sort key of z by counterclockwise travel from a, both (edge, t)
+    pairs of one n-gon with 0 <= t < 1.
 
-    Strictly totally orders the boundary minus the anchor; the anchor itself
-    gets the smallest key (0, 0).
+    Strictly totally orders the boundary minus a, and a sorts before every
+    other point.  From vertex 0 it is the pair itself.
     """
+    d = (z[0] - a[0]) % n
+    return (n if d == 0 and z[1] < a[1] else d), z[1]
+
+
+def boundary_key(anchor: BoundaryPoint, z: BoundaryPoint) -> tuple[int, Rat]:
+    """`arc_key` of two boundary points of one polygon."""
     if z.host != anchor.host:
         raise ValueError("mixed host polygons")
-    n = anchor.host.n
-    d = (z.edge - anchor.edge) % n
-    if d == 0:
-        if z.t >= anchor.t:
-            return (0, z.t - anchor.t)
-        return (n, z.t)
-    return (d, z.t)
+    return arc_key(anchor.host.n, (anchor.edge, anchor.t), (z.edge, z.t))
 
 
 def in_arc(

@@ -22,7 +22,7 @@ from .polygon import (
     BoundaryPoint,
     InvariantError,
     Polygon,
-    boundary_key,
+    arc_key,
     co_contains,
     ray_polygon_exit,
 )
@@ -61,10 +61,11 @@ class _Frame:
     """P's vertices and Pp's hull as integer pairs, for the steps of one run.
 
     Counterclockwise, the pairs are the coordinates times the lcm of their
-    denominators.  Clockwise, they are reflected (y -> -y) and reversed:
-    the frame of mirrored(P) and of mirrored(Pp).hull up to the hull's
-    first vertex, which no step depends on, built without either.  pts
-    holds the hull's own points in frame order, for the pivots.
+    denominators.  Clockwise, they are reflected (y -> -y) and reversed, so
+    frame vertex k is vertex n-1-k of P, both stay counterclockwise, and
+    the clockwise map is the counterclockwise step of this frame; this
+    class alone maps clockwise indices.  pts holds the hull's own points
+    in frame order, for the pivots.
     """
 
     __slots__ = ("P", "ccw", "vs", "hull", "pts")
@@ -312,14 +313,7 @@ def _in_open_arc(n: int, a, b, z) -> bool:
     (edge, t) pairs of one n-gon, a != b."""
     if z == a or z == b:
         return False
-    return _arc_key(n, a, z) < _arc_key(n, a, b)
-
-
-def _arc_key(n: int, a, z) -> tuple[int, Rat]:
-    """Orders the boundary minus a by counterclockwise travel from a, as
-    `boundary_key` does, without subtracting parameters."""
-    d = (z[0] - a[0]) % n
-    return (n if d == 0 and z[1] < a[1] else d), z[1]
+    return arc_key(n, a, z) < arc_key(n, a, b)
 
 
 def blc(P: Polygon, Pp: Polygon, start: BoundaryPoint | Point, direction: str = "ccw") -> BlcResult:
@@ -364,11 +358,6 @@ class JunctureSets:
     gamma2: frozenset[BoundaryPoint]
     gamma: tuple[BoundaryPoint, ...]
     gamma2_complete: bool
-
-
-def _arc_sorted(P: Polygon, pts: set[BoundaryPoint]) -> tuple[BoundaryPoint, ...]:
-    anchor = BoundaryPoint(P, 0, Rat(0))
-    return tuple(sorted(pts, key=lambda b: boundary_key(anchor, b)))
 
 
 def _on_one_host_edge(P: Polygon, u: Point, v: Point) -> bool:
@@ -417,5 +406,5 @@ def gamma_sets(P: Polygon, Pp: Polygon) -> JunctureSets:
             if poncelet(P, Pp, pre) == vertex_bp:
                 g2.add(pre)
     verts = {BoundaryPoint(P, j, Rat(0)) for j in range(P.n)}
-    gamma = _arc_sorted(P, verts | set(g1) | g2)
+    gamma = tuple(sorted(verts | g1 | g2, key=lambda b: (b.edge, b.t)))
     return JunctureSets(g1, frozenset(g2), gamma, interior)

@@ -2,8 +2,13 @@ import random
 import zlib
 
 import pytest
+from hypothesis import settings
 
 from polyattain.polygon import polygon
+
+# The same examples on every run, and no example database on disk.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

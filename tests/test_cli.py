@@ -149,9 +149,10 @@ def test_decide_json_lists_tested_pushouts(tmp_path, capsys):
     assert [(r["vertex"], r["pusher"]) for r in pushouts] == [
         (1, 4), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3), (4, 1)
     ]
-    assert all(r["why"] == "threshold test failed" for r in pushouts)
     # a landing off the two edges at its own corner leaves nothing to run
-    assert [len(r["failed_runs"]) for r in pushouts] == [0, 1] * 4
+    assert [(r["why"], len(r["failed_runs"])) for r in pushouts] == [
+        ("vertex on neither edge at its corner", 0), ("threshold test failed", 1)
+    ] * 4
 
 
 @pytest.mark.parametrize("args", [
@@ -348,6 +349,7 @@ BAD_SCRIPTS = {
     "moves-not-a-list": json.dumps({"start": SQ["P"], "moves": 5}),
     "bool-index": json.dumps({"start": SQ["P"], "moves": [{"i": True, "j": 2, "c": "1/2"}]}),
 }
+NOT_CONTAINED = json.dumps(dict(SQ, Pprime=[[0, 0], [1, 0], [1, 1], [0, 2]]))
 BAD_FILE_COMMANDS = [
     ("decide", ["decide", "{bad}"], BAD_INSTANCES),
     ("decide-batch", ["decide", "{sq}", "{bad}"], BAD_INSTANCES),
@@ -368,8 +370,9 @@ BAD_FILE_COMMANDS = [
     pytest.param(["blc", "{sq}", "--start", "1/0,0"], None, id="blc-start-point-1/0"),
     pytest.param(["blc", "{sq}", "--start", "9:0"], None, id="blc-start-edge-out-of-range"),
     pytest.param(["blc", "{sq}", "--start", "1/2,1/2"], None, id="blc-start-off-boundary"),
-    pytest.param(["blc", "{content}", "--start", "0,0"],
-                 json.dumps(dict(SQ, Pprime=[[0, 0], [1, 0], [1, 1], [0, 2]])), id="blc-not-contained"),
+    pytest.param(["blc", "{content}", "--start", "0,0"], NOT_CONTAINED, id="blc-not-contained"),
+    pytest.param(["plan", "{content}"], NOT_CONTAINED, id="plan-not-contained"),
+    pytest.param(["degeneracy", "{content}"], NOT_CONTAINED, id="degeneracy-not-contained"),
     pytest.param(["blc", "{content}", "--start", "0,0"],
                  json.dumps(dict(CORNER, P=[[0, 0], [1, 0], [2, 0], [0, 2]])), id="blc-not-set-convex"),
     pytest.param(["blc", "{content}", "--start", "0,0"],
@@ -389,7 +392,7 @@ def test_bad_input_is_one_error_line(args, text, sq_path, tmp_path, capsys):
         bad.write_text(text)
     script = tmp_path / "script.json"
     script.write_text(json.dumps({"start": SQ["P"], "moves": []}))
-    fault = bad if "{bad}" in args else out if "{out}" in args else None
+    fault = bad if {"{bad}", "{content}"} & set(args) else out if "{out}" in args else None
     args = [a.format(sq=sq_path, bad=bad, content=bad, out=out, script=script) for a in args]
     with pytest.raises(SystemExit) as e:
         run_cli(args)

@@ -4,9 +4,9 @@ import pytest
 
 from polyattain.attainability import ATTAINABLE_DEGENERATE, decide, threshold_test, vestibule_test
 from polyattain.degeneracy import is_degenerate
-from polyattain.gen import generate
-from polyattain.geometry import pt
-from polyattain.moves import PullIn, PushOut, verify_script
+from polyattain.gen import generate, random_convex_polygon
+from polyattain.geometry import Point, pt
+from polyattain.moves import PullIn, PushOut, identity_matrix, mat_mul, script_to_matrix, verify_script
 from polyattain.planners import (
     DEGENERATE_LT_5N,
     THRESHOLD_2N_MINUS_1,
@@ -17,7 +17,7 @@ from polyattain.planners import (
     plan_threshold,
     plan_vestibule,
 )
-from polyattain.polygon import Polygon, co_contains, polygon
+from polyattain.polygon import BoundaryPoint, Polygon, co_contains, polygon
 
 from conftest import rng_for
 
@@ -208,3 +208,76 @@ def test_triangle_plans_collinear_targets_by_construction(case, orientation):
     assert v.plan.bound_class == DEGENERATE_LT_5N
     assert len(v.plan.script.moves) <= 7
     assert verify_script(v.plan.script, Pp).ok
+
+
+def _mirror(Q: Polygon) -> Polygon:
+    """Q reflected across the x-axis with its vertex order reversed, so a
+    convex CCW polygon stays convex CCW."""
+    return Polygon(tuple(Point(v.x, -v.y) for v in reversed(Q.vertices)))
+
+
+def _threshold_instances(rng, per_n: int):
+    """(P, pushed, found) for the non-degenerate instances that pass the
+    vestibule search: pushed is the threshold member that found certifies.
+
+    The inner polygon pulls each vertex of a random convex P a little
+    toward its successor, shrinks it by 1 - 1/(4n^2) about the centroid and
+    puts one vertex on an edge at its own corner.  Each instance at n 3..8
+    also runs mirrored, and each of the two in two rotations."""
+    for n in range(3, 9):
+        for _ in range(per_n):
+            P = random_convex_polygon(rng, n)
+            c = Point(sum(v.x for v in P.vertices) / n, sum(v.y for v in P.vertices) / n)
+            shrink = 1 - Fraction(1, 4 * n * n)
+            pulled = [a + (b - a).scale(Fraction(rng.randint(1, 3), 8)) for a, b in map(P.edge, range(n))]
+            pts = [c + (q - c).scale(shrink) for q in pulled]
+            i = rng.randrange(n)
+            pts[i] = BoundaryPoint(P, rng.choice((i, i - 1)), Fraction(rng.randint(0, 3), 4)).realize()
+            Pp = Polygon(tuple(pts))
+            for A, B in ((P, Pp), (_mirror(P), _mirror(Pp))):
+                for r in (0, 1):
+                    Q, Qp = Polygon(A.vertices[r:] + A.vertices[:r]), Polygon(B.vertices[r:] + B.vertices[:r])
+                    if is_degenerate(Q, Qp).degenerate:
+                        continue
+                    found, _ = vestibule_test(Q, Qp)
+                    if found is not None:
+                        push = found.pushout
+                        yield Q, (Qp if push is None else Qp.replace(found.vertex, push.landing)), found
+
+
+def test_clockwise_threshold_plans():
+    """Threshold plans from clockwise certificates, built by the same chain
+    as counterclockwise ones with the vertex order reversed, reach their
+    targets within 2n - 1 moves."""
+    cw = 0
+    for P, pushed, found in _threshold_instances(rng_for("cw-threshold"), 10):
+        if found.cert.direction != "cw":
+            continue
+        cw += 1
+        out = plan_threshold(P, pushed, found.vertex, found.cert)
+        assert verify_script(out.script, pushed).ok
+        assert len(out.script.moves) <= 2 * P.n - 1
+    assert cw >= 40
+
+
+def test_row_update_product_matches_dense_factors(square, inner_square, corner_quad):
+    """script_to_matrix, one row update per move, gives the dense product
+    of its factors on scripts from every planner."""
+    plans = {
+        "degenerate-convex": decide(square, corner_quad, plan_moves=True).plan,
+        "non-convex": decide(polygon([(0, 0), (1, 0), (2, 0), (0, 1)]), corner_quad, plan_moves=True).plan,
+        "segment": decide(polygon(LINE), polygon([(2, 0), ("3/2", 0), ("3/2", 0), (1, 0)]), plan_moves=True).plan,
+        "triangle": decide(polygon(TRIANGLE), polygon(COLLINEAR_TARGETS["interior-chord"]), plan_moves=True).plan,
+        "vestibule": decide(square, inner_square, plan_moves=True).plan,
+    }
+    assert plans["vestibule"].bound_class == VESTIBULE_2N
+    scripts = [(kind, plan.script) for kind, plan in plans.items()]
+    for P, pushed, found in _threshold_instances(rng_for("matrix-planners"), 1):
+        scripts.append((found.cert.direction, plan_threshold(P, pushed, found.vertex, found.cert).script))
+    assert {kind for kind, s in scripts if s.moves} == set(plans) | {"ccw", "cw"}
+    for _, s in scripts:
+        D, factors = script_to_matrix(s)
+        dense = identity_matrix(s.start.n)
+        for K in factors:
+            dense = mat_mul(K, dense)
+        assert D == dense

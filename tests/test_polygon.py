@@ -10,8 +10,6 @@ from polyattain.polygon import (
     canonicalize_ccw,
     co_contains,
     in_arc,
-    mirror_point,
-    mirrored,
     polygon,
     ray_polygon_exit,
 )
@@ -121,7 +119,8 @@ def test_arc_cmp_examples(square):
     a = square.locate_boundary(pt(1, "1/2"))
     b = square.locate_boundary(pt(0, "1/2"))
     last = square.locate_boundary(pt("1/4", 0))
-    assert boundary_key(anchor, anchor) == (0, 0)
+    ahead = square.locate_boundary(pt("3/4", 0))
+    assert all(boundary_key(anchor, anchor) < boundary_key(anchor, z) for z in (ahead, a, b, last))
     assert boundary_key(anchor, a) < boundary_key(anchor, b) < boundary_key(anchor, last)
     # membership: (7/12, 0) is not on the open left-edge arc
     lo = square.locate_boundary(pt(0, "7/12"))
@@ -145,7 +144,9 @@ def test_arc_cmp_total_order(square):
         keys = {b: boundary_key(anchor, b) for b in pts}
         assert len(set(keys.values())) == len(pts)
         assert sorted(pts, key=keys.get) == sorted(pts, key=travel)
-        assert all(keys[b] > (0, 0) for b in pts if b != anchor)
+        assert all(keys[b] > boundary_key(anchor, anchor) for b in pts if b != anchor)
+        # from vertex 0 the key is the (edge, t) pair itself
+        assert all(boundary_key(BoundaryPoint(square, 0, 0), b) == (b.edge, b.t) for b in pts)
 
 
 def test_ray_polygon_exit(square):
@@ -168,24 +169,20 @@ def _exit_oracle(P: Polygon, o: Point, d: Point) -> BoundaryPoint:
     return P.locate_boundary(o + d.scale(t))
 
 
-def test_mirror_and_ray_exit_match_locate_boundary():
-    """The index arithmetic of mirror_point and the (edge, t) that
-    ray_polygon_exit builds agree with locating the same point by a scan,
-    on vertex feet, edge points, rays along edges and rays from vertices."""
+def test_ray_exit_matches_locate_boundary():
+    """The (edge, t) that ray_polygon_exit builds agrees with locating the
+    same point by a scan, on vertex feet, edge points, rays along edges and
+    rays from vertices."""
     from polyattain.gen import random_convex_combination, random_convex_polygon
 
     rng = rng_for("mirror-ray")
     for _ in range(60):
         P = random_convex_polygon(rng, rng.randint(3, 8))
-        Pm = mirrored(P)
         feet = [BoundaryPoint(P, e, Fraction(0)) for e in range(P.n)]
         feet += [BoundaryPoint(P, e, Fraction(rng.randint(1, 7), 8)) for e in range(P.n)]
         inner = random_convex_combination(rng, P)
         for bp in feet:
             q = bp.realize()
-            m = mirror_point(bp, Pm)
-            assert m == Pm.locate_boundary(Point(q.x, -q.y))
-            assert mirror_point(m, P) == bp
             a, b = P.edge(bp.edge)
             targets = [v for v in P.vertices if v != q] + [b, inner]
             if bp.t > 0:

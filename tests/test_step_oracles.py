@@ -20,8 +20,6 @@ from polyattain.polygon import (
     InvariantError,
     Polygon,
     in_arc,
-    mirror_point,
-    mirrored,
     ray_polygon_exit,
 )
 from polyattain.poncelet import BOUNDARY, INTERIOR, blc, poncelet_cw, right_tangent
@@ -29,6 +27,19 @@ from polyattain.poncelet import BOUNDARY, INTERIOR, blc, poncelet_cw, right_tang
 from conftest import rng_for
 
 SIZES = list(range(3, 13)) + [16, 24, 32, 48]
+
+
+def mirrored(P: Polygon) -> Polygon:
+    """Reflection across the x-axis with reversed vertex order: vertex k is
+    the image of vertex n-1-k, so a convex CCW polygon stays convex CCW."""
+    return Polygon(tuple(Point(v.x, -v.y) for v in reversed(P.vertices)))
+
+
+def mirror_point(bp: BoundaryPoint, Pm: Polygon) -> BoundaryPoint:
+    """bp reflected onto Pm == mirrored(bp.host): (e, t) goes to
+    (-2-e, 1-t), which the constructor turns into (-1-e, 0) for a vertex.
+    Mirroring back with the old host undoes it."""
+    return BoundaryPoint(Pm, -2 - bp.edge, 1 - bp.t)
 
 
 def exit_oracle(P: Polygon, origin: Point, direction: Point) -> BoundaryPoint:
@@ -177,7 +188,9 @@ def test_tangent_matches_oracle():
             # the clockwise map runs the same step in the mirrored frame
             Pm, Ppm = mirrored(P), mirrored(Pp)
             for bp in list(feet(rng, P))[::3]:
-                want = tangent_oracle(Pm, Ppm, mirror_point(bp, Pm))[2]
+                m, q = mirror_point(bp, Pm), bp.realize()
+                assert m.realize() == Point(q.x, -q.y) and mirror_point(m, P) == bp
+                want = tangent_oracle(Pm, Ppm, m)[2]
                 assert poncelet_cw(P, Pp, bp) == mirror_point(want, P)
 
 
