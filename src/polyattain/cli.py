@@ -83,20 +83,22 @@ def _verdict_report(P, Pp, verdict, want_matrix: bool, decimal: bool, elapsed: f
         ]
     if verdict.plan is not None:
         script = verdict.plan.script
+        moves = pio.format_script(script)["moves"]
         report["plan"] = {
             "bound_class": verdict.plan.bound_class,
-            "moves": pio.format_script(script)["moves"],
+            "moves": moves,
             "length": len(script.moves),
         }
         if want_matrix:
-            D, factors = script_to_matrix(script)
-            report["matrix"] = {
-                "product": pio.format_matrix(D),
-                "factors": [pio.format_matrix(K) for K in factors],
-                "stochastic": is_stochastic(D),
-            }
+            report["matrix"] = _matrix_report(script, moves)
     report["ms"] = round(elapsed * 1000, 3)
     return report
+
+
+def _matrix_report(script, moves: list) -> dict:
+    """The product D of the script's factors, and each factor K^{ij}(c) as its move."""
+    D = script_to_matrix(script)
+    return {"product": pio.format_matrix(D), "factors": moves, "stochastic": is_stochastic(D)}
 
 
 def _print_report(report: dict, as_json: bool) -> None:
@@ -142,11 +144,13 @@ def _decide_one(args_tuple) -> tuple[dict | None, str | None]:
 def cmd_decide(args) -> int:
     """Reports of the good files in input order, `error: <path>: <msg>` for
     each bad one, and exit code 2 if any file failed."""
-    jobs = [(path, args.plan, args.matrix, args.decimal) for path in args.instance]
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
+    jobs = [(path, args.plan or args.matrix, args.matrix, args.decimal) for path in args.instance]
     if args.jobs > 1 and len(jobs) > 1:
         import multiprocessing as mp
 
-        with mp.Pool(args.jobs) as pool:
+        with mp.Pool(min(args.jobs, len(jobs))) as pool:
             results = pool.map(_decide_one, jobs)
     else:
         results = [_decide_one(j) for j in jobs]
@@ -270,13 +274,7 @@ def cmd_verify(args) -> int:
 
 def cmd_matrix(args) -> int:
     script = pio.load_script(args.script)
-    D, factors = script_to_matrix(script)
-    report = {
-        "product": pio.format_matrix(D),
-        "factors": [pio.format_matrix(K) for K in factors],
-        "stochastic": is_stochastic(D),
-    }
-    print(pio.dump(report))
+    print(pio.dump(_matrix_report(script, pio.format_script(script)["moves"])))
     return 0
 
 
@@ -312,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("decide", help="decide attainability of an instance")
     d.add_argument("instance", nargs="+", help="instance JSON path(s)")
     d.add_argument("--plan", action="store_true", help="emit a verified move script")
-    d.add_argument("--matrix", action="store_true", help="emit the stochastic factorization")
+    d.add_argument("--matrix", action="store_true", help="emit the stochastic factorization (implies --plan)")
     d.add_argument("--json", action="store_true", help="machine-readable output")
     d.add_argument("--decimal", action="store_true", help="add non-authoritative decimals")
     d.add_argument("--jobs", type=int, default=1, help="parallel workers for batches")

@@ -168,16 +168,19 @@ def is_stochastic(D: Matrix) -> bool:
     )
 
 
-def script_to_matrix(s: MoveScript) -> tuple[Matrix, list[Matrix]]:
-    """The ordered elementary factors of a script and their product D, with
+def script_to_matrix(s: MoveScript) -> Matrix:
+    """The product D of the factors K^{ij}(c), one per move (i, j, c), with
     D * start == replay(s) exactly (factors multiply on the left).
-
     K^{ij}(c) * D differs from D only in row i, which becomes
-    (1-c)*row_i + c*row_j, so each factor costs one row update.
-    """
+    (1-c)*row_i + c*row_j: row j for c = 1, row i for c = 0. Rows hold only
+    their nonzero entries, so a zero is never multiplied."""
     n = s.start.n
-    factors = [elementary_matrix(n, m.mover, m.target, m.c) for m in s.moves]
-    D = [list(r) for r in identity_matrix(n)]
+    rows = [{k: Rat(1)} for k in range(n)]
     for m in s.moves:
-        D[m.mover] = [(1 - m.c) * a + m.c * b for a, b in zip(D[m.mover], D[m.target])]
-    return tuple(map(tuple, D)), factors
+        if m.c == 1:
+            rows[m.mover] = rows[m.target]  # shared: a built row is never changed
+        elif m.c:
+            row = rows[m.mover] = {k: (1 - m.c) * a for k, a in rows[m.mover].items()}
+            for k, b in rows[m.target].items():
+                row[k] = row.get(k, 0) + m.c * b
+    return tuple(tuple(row.get(k, Rat(0)) for k in range(n)) for row in rows)

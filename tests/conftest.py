@@ -4,6 +4,7 @@ import zlib
 import pytest
 from hypothesis import settings
 
+from polyattain.moves import elementary_matrix, identity_matrix, is_stochastic, mat_mul
 from polyattain.polygon import polygon
 
 # The same examples on every run, and no example database on disk.
@@ -37,3 +38,15 @@ def rng_for(name: str) -> random.Random:
     instances whatever the process's PYTHONHASHSEED."""
     return random.Random(zlib.crc32(name.encode()))
 
+
+def dense_product(s):
+    """The oracle for script_to_matrix: each move's factor K^{ij}(c) built
+    as a dense matrix and checked stochastic, and their product from the
+    left."""
+    n = s.start.n
+    D = identity_matrix(n)
+    for m in s.moves:
+        K = elementary_matrix(n, m.mover, m.target, m.c)
+        assert is_stochastic(K)
+        D = mat_mul(K, D)
+    return D

@@ -37,6 +37,8 @@ from polyattain.planners import DEGENERATE_LT_5N, THRESHOLD_2N_MINUS_1, VESTIBUL
 from polyattain.polygon import Polygon, boundary_key, co_contains, polygon
 from polyattain.poncelet import blc, gamma_sets, poncelet, poncelet_cw
 
+from conftest import dense_product
+
 ATTAINABLE = (ATTAINABLE_DEGENERATE, ATTAINABLE_VESTIBULE)
 
 
@@ -249,8 +251,9 @@ def test_criterion_8_matrix_suite():
     for _ in range(500):
         P = random_convex_polygon(rng, rng.randint(3, 6))
         s = random_script(rng, P, rng.randint(0, 10))
-        D, factors = script_to_matrix(s)
+        D = script_to_matrix(s)
         assert is_stochastic(D)
+        assert D == dense_product(s)  # each factor, built from its move, is stochastic too
         assert mat_apply(D, P) == replay(s)
     for _ in range(100):
         c = Fraction(rng.randint(0, 12), 12)
@@ -263,7 +266,7 @@ def test_criterion_8_matrix_suite():
         A = elementary_matrix(6, 0, 3, c)
         B = elementary_matrix(6, 4, 1, d)
         assert mat_mul(A, B) == mat_mul(B, A)
-    _passline(8, "matrix/geometry agreement, merge identity, disjoint commutation", t0)
+    _passline(8, "matrix/geometry/dense-factor agreement, merge identity, disjoint commutation", t0)
 
 
 def test_criterion_9_threshold_slide():

@@ -15,6 +15,8 @@ from polyattain.moves import MoveScript, PullIn
 from polyattain.svg import render_instance
 from polyattain.poncelet import blc
 
+from conftest import dense_product
+
 
 SQ = {
     "P": [[0, 0], [1, 0], [1, 1], [0, 1]],
@@ -50,6 +52,61 @@ def test_decide_json(sq_path, capsys):
     assert report["plan"]["length"] <= 8
     assert report["matrix"]["stochastic"] is True
     assert all(isinstance(mv["c"], (str, int)) for mv in report["plan"]["moves"])
+
+
+def json_reports(text: str) -> list[dict]:
+    """The JSON reports printed one after another by a batch."""
+    decoder, reports, at = json.JSONDecoder(), [], 0
+    while at < len(text.rstrip()):
+        report, at = decoder.raw_decode(text, at)
+        reports.append(report)
+        at += 1  # the newline after each report
+    return reports
+
+
+def check_matrix_report(start, matrix: dict, moves: list) -> None:
+    """The factors are the script's moves, and the dense product of the
+    factors they name equals the reported product."""
+    assert matrix["factors"] == moves
+    assert matrix["stochastic"] is True
+    script = pio.parse_script({"start": start, "moves": matrix["factors"]})
+    assert pio.format_matrix(dense_product(script)) == matrix["product"]
+
+
+def test_matrix_implies_plan(sq_path, capsys):
+    """`--matrix` alone plans as well: the report equals the one with
+    `--plan` apart from its time."""
+    reports = []
+    for flags in (["--matrix"], ["--plan", "--matrix"]):
+        assert run_cli(["decide", sq_path, "--json", *flags]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+        reports[-1].pop("ms")
+    assert reports[0] == reports[1]
+    check_matrix_report(SQ["P"], reports[0]["matrix"], reports[0]["plan"]["moves"])
+
+
+def test_decide_matrix_batch_as_benchmarked(sq_path, tmp_path, capsys):
+    """`decide --plan --matrix --json` on a batch gives the same reports,
+    apart from their times, with two workers as with one; each report's
+    factors are its plan's moves, and their dense product is the product."""
+    corner = tmp_path / "corner.json"
+    corner.write_text(json.dumps(CORNER))
+    degenerate = tmp_path / "degenerate.json"
+    assert run_cli(["gen", "--n", "7", "--seed", "3", "--mode", "degenerate", "-o", str(degenerate)]) == 0
+    paths = [sq_path, str(corner), str(degenerate)]
+    starts = [SQ["P"], CORNER["P"], json.loads(degenerate.read_text())["P"]]
+    capsys.readouterr()
+    runs = []
+    for jobs in ("2", "1"):
+        assert run_cli(["decide", "--plan", "--matrix", "--json", "--jobs", jobs, *paths]) == 0
+        runs.append(json_reports(capsys.readouterr().out))
+        for report in runs[-1]:
+            report.pop("ms")
+    assert runs[0] == runs[1]
+    assert [r["instance"] for r in runs[0]] == paths
+    assert {r["verdict"] for r in runs[0]} == {"AttainableVestibule", "AttainableDegenerate"}
+    for start, report in zip(starts, runs[0]):
+        check_matrix_report(start, report["matrix"], report["plan"]["moves"])
 
 
 def test_decide_exit_codes(tmp_path):
@@ -173,17 +230,22 @@ def test_decimal_adds_approximations(args, sq_path, capsys):
 
 def test_matrix_command(sq_path, tmp_path, capsys):
     """The product of a planned script's factors is row-stochastic and maps
-    P onto Pprime."""
-    plan_path = tmp_path / "plan.json"
-    assert run_cli(["plan", sq_path, "-o", str(plan_path)]) == 0
-    capsys.readouterr()
-    assert run_cli(["matrix", str(plan_path)]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["stochastic"] is True
-    assert len(report["factors"]) == len(json.loads(plan_path.read_text())["moves"]) > 0
-    D = [[pio.parse_rat(v) for v in row] for row in report["product"]]
-    P, Pp = ([[pio.parse_rat(v) for v in p] for p in SQ[key]] for key in ("P", "Pprime"))
-    assert [[sum(D[i][k] * P[k][c] for k in range(4)) for c in range(2)] for i in range(4)] == Pp
+    P onto Pprime; the factors are the script's moves, and their dense
+    product is the product."""
+    corner = tmp_path / "corner.json"
+    corner.write_text(json.dumps(CORNER))
+    for path, instance in ((sq_path, SQ), (str(corner), CORNER)):
+        plan_path = tmp_path / "plan.json"
+        assert run_cli(["plan", path, "-o", str(plan_path)]) == 0
+        capsys.readouterr()
+        assert run_cli(["matrix", str(plan_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        moves = json.loads(plan_path.read_text())["moves"]
+        assert len(report["factors"]) == len(moves) > 0
+        check_matrix_report(instance["P"], report, moves)
+        D = [[pio.parse_rat(v) for v in row] for row in report["product"]]
+        P, Pp = ([[pio.parse_rat(v) for v in p] for p in instance[key]] for key in ("P", "Pprime"))
+        assert [[sum(D[i][k] * P[k][c] for k in range(4)) for c in range(2)] for i in range(4)] == Pp
 
 
 def test_blc_command(sq_path, tmp_path, capsys):
@@ -271,10 +333,21 @@ def test_gen_scales_to_n_64(tmp_path):
         assert P.n == Pp.n == 64 and P.is_convex_ccw
 
 
-def test_decide_batch_jobs(sq_path, tmp_path, capsys):
+def test_decide_batch_jobs(sq_path, tmp_path, capsys, monkeypatch):
+    """A batch runs in input order on no more workers than it has files."""
+    import multiprocessing
+
+    sizes = []
+
+    def pool(processes, real=multiprocessing.Pool):
+        sizes.append(processes)
+        return real(processes)
+
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
     other = tmp_path / "deg.json"
     other.write_text(json.dumps(CORNER))
-    assert run_cli(["decide", sq_path, str(other), "--jobs", "2"]) == 0
+    assert run_cli(["decide", sq_path, str(other), "--jobs", "8"]) == 0
+    assert sizes == [2]
     out = capsys.readouterr().out
     assert out.count("verdict:") == 2
     assert out.index(sq_path.split("/")[-1]) < out.index("deg.json")
@@ -366,6 +439,8 @@ BAD_FILE_COMMANDS = [
     pytest.param(args, text, id=f"{name}-{kind}")
     for name, args, files in BAD_FILE_COMMANDS for kind, text in files.items()
 ] + [
+    pytest.param(["decide", "{sq}", "--jobs", "0"], None, id="decide-jobs-0"),
+    pytest.param(["decide", "{sq}", "{sq}", "--jobs", "-2"], None, id="decide-jobs-negative"),
     pytest.param(["blc", "{sq}", "--start", "1:1/0"], None, id="blc-start-edge-1/0"),
     pytest.param(["blc", "{sq}", "--start", "1/0,0"], None, id="blc-start-point-1/0"),
     pytest.param(["blc", "{sq}", "--start", "9:0"], None, id="blc-start-edge-out-of-range"),

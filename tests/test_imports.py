@@ -21,8 +21,10 @@ KEPT = {
     "gen.random_interior_inner": "draws the all-interior inner polygons of acceptance criterion 3",
     "kernels.BACKEND": "perfbench/run.py records it and perfbench/compare.py checks it",
     "moves.mat_apply": "the D*P = P' oracle of acceptance criterion 8",
+    "moves.elementary_matrix": "the dense factor K^{ij}(c) of a move, the oracle that acceptance "
+    "criterion 8 and tests/conftest.py check script_to_matrix against",
     "moves.mat_mul": "perfbench/tracer.py wraps it, and acceptance criterion 8 and "
-    "tests/test_moves.py check factor products with it",
+    "tests/conftest.py multiply the dense factors with it",
     "polygon.polygon": "builds a polygon from coordinates for perfbench/ and the tests",
     "poncelet.gamma_sets": "acceptance criterion 1 and tests/test_poncelet.py test the juncture sets",
 }

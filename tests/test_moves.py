@@ -21,7 +21,7 @@ from polyattain.moves import (
 )
 from polyattain.polygon import co_contains, polygon
 
-from conftest import rng_for
+from conftest import dense_product, rng_for
 
 
 def test_apply_pullin_examples(square):
@@ -76,16 +76,16 @@ def test_verify_script_examples(square):
 
 def test_script_to_matrix_single_move(square):
     s = MoveScript(square, (PullIn(1, 0, Fraction(1, 2)),))
-    D, factors = script_to_matrix(s)
-    assert len(factors) == 1
+    D = script_to_matrix(s)
+    assert D == elementary_matrix(4, 1, 0, Fraction(1, 2)) == dense_product(s)
     assert D[1] == (Fraction(1, 2), Fraction(1, 2), 0, 0)
     assert D[0] == (1, 0, 0, 0) and D[2] == (0, 0, 1, 0) and D[3] == (0, 0, 0, 1)
     assert mat_apply(D, square) == replay(s)
 
 
 def test_script_to_matrix_empty(square):
-    D, factors = script_to_matrix(MoveScript(square, tuple()))
-    assert D == identity_matrix(4) and factors == []
+    s = MoveScript(square, tuple())
+    assert script_to_matrix(s) == identity_matrix(4) == dense_product(s)
 
 
 def test_equal_index_factors_merge():
@@ -104,16 +104,25 @@ def test_equal_index_factors_merge():
 
 
 def test_random_scripts_match_matrices():
+    """The product is stochastic, equals the dense product of the stochastic
+    factors and maps P onto the replayed end; the second batch draws c from
+    {0, 1} or {0, 1/2, 1}, so rows are copied and left alone as well."""
     from polyattain.gen import random_convex_polygon, random_script
 
     rng = rng_for("matrix-agreement")
+    scripts = []
     for _ in range(120):
         P = random_convex_polygon(rng, rng.randint(3, 6))
-        s = random_script(rng, P, rng.randint(0, 10))
-        D, factors = script_to_matrix(s)
+        scripts.append(random_script(rng, P, rng.randint(0, 10)))
+    for _ in range(60):
+        P = random_convex_polygon(rng, rng.randint(3, 6))
+        scripts.append(random_script(rng, P, rng.randint(1, 12), den=rng.choice((1, 2))))
+    assert {0, 1} <= {m.c for s in scripts[120:] for m in s.moves}
+    for s in scripts:
+        D = script_to_matrix(s)
         assert is_stochastic(D)
-        assert all(is_stochastic(K) for K in factors)
-        assert mat_apply(D, P) == replay(s)
+        assert D == dense_product(s)
+        assert mat_apply(D, s.start) == replay(s)
 
 
 def test_pullin_states_decrease(square):

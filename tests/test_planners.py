@@ -6,7 +6,7 @@ from polyattain.attainability import ATTAINABLE_DEGENERATE, decide, threshold_te
 from polyattain.degeneracy import is_degenerate
 from polyattain.gen import generate, random_convex_polygon
 from polyattain.geometry import Point, pt
-from polyattain.moves import PullIn, PushOut, identity_matrix, mat_mul, script_to_matrix, verify_script
+from polyattain.moves import PullIn, PushOut, script_to_matrix, verify_script
 from polyattain.planners import (
     DEGENERATE_LT_5N,
     THRESHOLD_2N_MINUS_1,
@@ -19,7 +19,7 @@ from polyattain.planners import (
 )
 from polyattain.polygon import BoundaryPoint, Polygon, co_contains, polygon
 
-from conftest import rng_for
+from conftest import dense_product, rng_for
 
 
 def test_plan_all_equal_vertices(square):
@@ -262,7 +262,7 @@ def test_clockwise_threshold_plans():
 
 def test_row_update_product_matches_dense_factors(square, inner_square, corner_quad):
     """script_to_matrix, one row update per move, gives the dense product
-    of its factors on scripts from every planner."""
+    of the stochastic factors of its moves on scripts from every planner."""
     plans = {
         "degenerate-convex": decide(square, corner_quad, plan_moves=True).plan,
         "non-convex": decide(polygon([(0, 0), (1, 0), (2, 0), (0, 1)]), corner_quad, plan_moves=True).plan,
@@ -276,8 +276,4 @@ def test_row_update_product_matches_dense_factors(square, inner_square, corner_q
         scripts.append((found.cert.direction, plan_threshold(P, pushed, found.vertex, found.cert).script))
     assert {kind for kind, s in scripts if s.moves} == set(plans) | {"ccw", "cw"}
     for _, s in scripts:
-        D, factors = script_to_matrix(s)
-        dense = identity_matrix(s.start.n)
-        for K in factors:
-            dense = mat_mul(K, dense)
-        assert D == dense
+        assert script_to_matrix(s) == dense_product(s)
