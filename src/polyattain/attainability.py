@@ -14,7 +14,6 @@ from .polygon import (
     InvariantError,
     Polygon,
     canonicalize_ccw,
-    co_contains,
     in_arc,
     ray_polygon_exit,
 )
@@ -125,7 +124,7 @@ def vestibule_test(
     for i in range(n):
         for pusher in ((i - 1) % n, (i + 1) % n):
             origin, through = Pp.vertices[pusher], Pp.vertices[i]
-            landing_bp = ray_polygon_exit(P, origin, through - origin, through)
+            landing_bp = ray_polygon_exit(P, origin, through - origin)
             landing = landing_bp.realize()
             pushed = Pp.replace(i, landing)
             cert, why, failures = _threshold_probe(P, pushed, i, landing_bp)
@@ -144,9 +143,8 @@ def decide(P: Polygon, Pp: Polygon, plan_moves: bool = False) -> Verdict:
     Degenerate containment is attainable outright; otherwise the polygon is
     attainable if and only if it passes the vestibule search, except that a
     failed search with n = 3 is reported as unknown rather than negative.
+    A Pp outside co(P) is a ValueError, raised by `is_degenerate`.
     """
-    if not co_contains(P, Pp):
-        raise ValueError("containment violated")
     dv = is_degenerate(P, Pp)
     if dv.degenerate:
         plan = plan_degenerate(P, Pp, dv.witness) if plan_moves else None

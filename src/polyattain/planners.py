@@ -123,11 +123,10 @@ def _inscribe_onto(rec: _PushRecorder, Q: Polygon) -> None:
     n = rec.current.n
     for k in range(1, n):
         cur = rec.current
-        if Q.locate_boundary(cur.vertices[k]) is not None:
-            continue
-        rec.push(k, 0, _push_landing(Q, cur.vertices[0], cur.vertices[k]))
+        if not Q.edges_at(cur.vertices[k]):
+            rec.push(k, 0, _push_landing(Q, cur.vertices[0], cur.vertices[k]))
     cur = rec.current
-    if Q.locate_boundary(cur.vertices[0]) is None:
+    if not Q.edges_at(cur.vertices[0]):
         rec.push(0, 1, _push_landing(Q, cur.vertices[1], cur.vertices[0]))
 
 
@@ -137,10 +136,8 @@ def _push_stray(rec: _PushRecorder, Q: Polygon, strays: list[int]) -> bool:
     False, and no push, when every stray is alone on its edges."""
     cur = rec.current.vertices
     for k in strays:
-        for i in range(Q.n):
+        for i in Q.edges_at(cur[k]):
             a, b = Q.edge(i)
-            if not segment_contains(a, b, cur[k]):
-                continue
             mate = next((m for m in range(len(cur)) if m != k and segment_contains(a, b, cur[m])), None)
             if mate is not None:
                 rec.push(k, mate, _edge_push_target(a, b, cur[mate], cur[k]))
@@ -149,17 +146,16 @@ def _push_stray(rec: _PushRecorder, Q: Polygon, strays: list[int]) -> bool:
 
 
 def _sweep_to_vertices(rec: _PushRecorder, Q: Polygon) -> None:
-    """Move every vertex (already on the boundary of Q) to vertices of Q.
+    """Inscribe the polygon in Q, then move every vertex to a vertex of Q.
 
-    Strays sharing a closed edge with another vertex are pushed to the far
-    endpoint; once every stray is stranded, a double point at some vertex
-    of Q unstrands them two moves at a time.  Every push lands on a vertex
-    of Q, so the polygon stays inscribed and the strays are the vertices
-    not at a vertex of Q.
+    Strays (vertices not at a vertex of Q) sharing a closed edge with
+    another vertex are pushed to its far endpoint, the first stray in slot
+    order first; once every stray is stranded, a double point at some
+    vertex of Q unstrands them two moves at a time.  Every push after the
+    inscription lands on a vertex of Q, so the polygon stays inscribed.
     """
+    _inscribe_onto(rec, Q)
     n = rec.current.n
-    if any(Q.locate_boundary(v) is None for v in rec.current.vertices):
-        raise PlannerError("sweep expects an inscribed polygon")
     qverts = list(Q.vertices)
     budget = 3 * n  # hard stop against planner bugs
     while budget > 0:
@@ -180,31 +176,10 @@ def _sweep_to_vertices(rec: _PushRecorder, Q: Polygon) -> None:
         if doubled is None:
             raise PlannerError("stranded strays but no vertex double point")
         u = strays[0]
-        edge_i = next(
-            i for i in range(Q.n)
-            if segment_contains(*Q.edge(i), cur[u])
-        )
-        a, b = Q.edge(edge_i)
+        a, b = Q.edge(Q.edges_at(cur[u])[0])
         rec.push(doubled[0], doubled[1], a)
         rec.push(u, doubled[0], b)
     raise PlannerError("vertex sweep exceeded its move budget")
-
-
-def _sweep_occupy_all(rec: _PushRecorder, P: Polygon) -> None:
-    """Push the strays of an inscribed, non-degenerate polygon with at least
-    one vertex occupant until every vertex of P is occupied."""
-    n = P.n
-    pverts = set(P.vertices)
-    for _ in range(n):
-        cur = rec.current.vertices
-        strays = [k for k in range(n) if cur[k] not in pverts]
-        if not strays:
-            break
-        if not _push_stray(rec, P, strays):
-            raise PlannerError("occupancy sweep is stuck with stranded strays")
-    cur = rec.current.vertices
-    if sorted(cur) != sorted(P.vertices):
-        raise PlannerError("occupancy sweep did not reach every vertex")
 
 
 def _permutation_to(rec: _PushRecorder, target: Polygon) -> None:
@@ -288,7 +263,6 @@ def _plan_degenerate_nonconvex(P: Polygon, Pp: Polygon) -> MoveScript:
     Q = Polygon(hull)
     n = P.n
     rec = _PushRecorder(Pp)
-    _inscribe_onto(rec, Q)
     _sweep_to_vertices(rec, Q)
     ext = set(hull)
     i0 = min(j for j in range(n) if P.vertices[j] in ext)
@@ -347,8 +321,8 @@ def _is_maximal_degenerate(Q: Polygon, P: Polygon) -> bool:
     stranded (alone on its closed edges)."""
     if Q.n != P.n - 1:
         return False
-    locs = [P.locate_boundary(q) for q in Q.vertices]
-    if any(b is None for b in locs):
+    edges = [P.edges_at(q) for q in Q.vertices]
+    if not all(edges):
         return False
     pverts = set(P.vertices)
     for k, q in enumerate(Q.vertices):
@@ -357,11 +331,9 @@ def _is_maximal_degenerate(Q: Polygon, P: Polygon) -> bool:
             if any(o == q for o in others):
                 return False
         else:
-            for i in range(P.n):
+            for i in edges[k]:
                 a, b = P.edge(i)
-                if segment_contains(a, b, q) and any(
-                    segment_contains(a, b, o) for o in others
-                ):
+                if any(segment_contains(a, b, o) for o in others):
                     return False
     return True
 
@@ -377,7 +349,6 @@ def _plan_degenerate_convex(P: Polygon, Pp: Polygon, witness: Polygon) -> MoveSc
 
     Qmd = maximal_degenerate_extend(witness, Pc)
     rec = _PushRecorder(Ppc)
-    _inscribe_onto(rec, Qmd)
     _sweep_to_vertices(rec, Qmd)
 
     # Occupy every vertex of P from the doubled (n-1)-gon, in simulation.
@@ -387,7 +358,7 @@ def _plan_degenerate_convex(P: Polygon, Pp: Polygon, witness: Polygon) -> MoveSc
     qset = set(q)
     p_free = next(v for v in Pc.vertices if v not in qset)
     sim.push(0, 1, p_free)
-    _sweep_occupy_all(sim, Pc)
+    _sweep_to_vertices(sim, Pc)
     F = sim.current
     phi = [Pc.vertices.index(F.vertices[k]) for k in range(n)]
     if sorted(phi) != list(range(n)):
@@ -528,7 +499,7 @@ def plan_threshold(P: Polygon, Pp: Polygon, i: int, cert) -> PlanOutcome:
     BlcResult.  One push-out chain serves both directions, with d = +1 for
     a counterclockwise certificate and -1 for a clockwise one: vertices
     i+d, i+2d, ... go out onto the broken-line points, vertex i goes out to
-    its own corner pushed by vertex i-d, and the occupancy sweep finishes.
+    its own corner pushed by vertex i-d, and the vertex sweep finishes.
     """
     if Pp == P:
         return finish_plan(MoveScript(P, tuple()), Pp, THRESHOLD_2N_MINUS_1)
@@ -537,7 +508,7 @@ def plan_threshold(P: Polygon, Pp: Polygon, i: int, cert) -> PlanOutcome:
     for k in range(1, n):
         rec.push((i + k * d) % n, (i + (k - 1) * d) % n, cert.points[k].realize())
     rec.push(i, (i - d) % n, P.vertices[i])
-    _sweep_occupy_all(rec, P)
+    _sweep_to_vertices(rec, P)
     if rec.current != P:
         raise PlannerError("threshold plan did not land on the start polygon")
     return finish_plan(rec.to_script(), Pp, THRESHOLD_2N_MINUS_1)

@@ -90,6 +90,10 @@ class Polygon:
                 return BoundaryPoint(self, i, t)
         return None
 
+    def edges_at(self, p: Point) -> list[int]:
+        """Indices of the closed edges that contain p, in index order."""
+        return [i for i in range(self.n) if segment_contains(*self.edge(i), p)]
+
     def __repr__(self) -> str:
         return "Polygon[" + ", ".join(map(repr, self.vertices)) + "]"
 
@@ -161,18 +165,11 @@ class BoundaryPoint:
         return f"∂[{self.edge}:{self.t}]{self.realize()!r}"
 
 
-def ray_polygon_exit(
-    P: Polygon,
-    origin: Point,
-    direction: Point,
-    through: Point | None = None,
-) -> BoundaryPoint:
+def ray_polygon_exit(P: Polygon, origin: Point, direction: Point) -> BoundaryPoint:
     """Furthest intersection of the ray origin + t*direction (t >= 0) with
     the boundary of the convex CCW polygon P.
 
     The origin must lie on the boundary or inside co(P), so the exit exists.
-    `through` is a point of the ray other than the origin, if the caller
-    already holds one.
 
     The exit edge is read off the sides of all n vertices relative to the
     ray's line: it starts right of or on the line and ends left of or on
@@ -181,7 +178,7 @@ def ray_polygon_exit(
     intersection then gives the point.  The steps of the broken line find
     their exits by bisection instead, in `poncelet`.
     """
-    q = origin + direction if through is None else through
+    q = origin + direction
     vs, n = P.vertices, P.n
     sides = [orient(origin, q, v) for v in vs]
     for i in range(n):

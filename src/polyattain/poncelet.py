@@ -226,8 +226,11 @@ def _step(fr: _Frame, x: tuple[int, Rat]):
 
     The tangent vertex is found by bisection and certified by its two hull
     neighbours: both weakly left of the ray means the whole hull is, since
-    the hull is convex.  Only a neighbour can share the tangent line, so the
-    pivots come from those three vertices.
+    the hull is convex.  Only a neighbour can share the tangent line, and
+    only the next one can be the second pivot.  A previous neighbour on the
+    ray past the tangent vertex would put the hull right of the ray, which
+    the check rejects; one before it lies at the same angle, and
+    `_tangent_index` returns the first of two such vertices.
     """
     vs, hull = fr.vs, fr.hull
     n, m = len(vs), len(hull)
@@ -242,9 +245,7 @@ def _step(fr: _Frame, x: tuple[int, Rat]):
         raise ValueError("no tangent ray: foot lies inside the inner hull")
     # Two pivots in hull order are in order of distance from the foot: the
     # ray runs along the hull edge between them, with the hull on its left.
-    if o_prev == 0 and _forward(f, v, prev) > 0:
-        pivots = ((k - 1) % m, k)
-    elif o_next == 0 and _forward(f, v, nxt) > 0:
+    if o_next == 0 and _forward(f, v, nxt) > 0:
         pivots = (k, (k + 1) % m)
     else:
         pivots = (k,)
@@ -360,14 +361,6 @@ class JunctureSets:
     gamma2_complete: bool
 
 
-def _on_one_host_edge(P: Polygon, u: Point, v: Point) -> bool:
-    for i in range(P.n):
-        a, b = P.edge(i)
-        if segment_contains(a, b, u) and segment_contains(a, b, v):
-            return True
-    return False
-
-
 def gamma1_points(P: Polygon, Pp: Polygon) -> frozenset[BoundaryPoint]:
     """Push-outs onto the boundary of each hull vertex of Pp by its
     counterclockwise successor, kept for interior-case evaluations."""
@@ -377,7 +370,7 @@ def gamma1_points(P: Polygon, Pp: Polygon) -> frozenset[BoundaryPoint]:
     m = len(hull)
     for k in range(m):
         v, succ = hull[k], hull[(k + 1) % m]
-        if _on_one_host_edge(P, v, succ):
+        if any(segment_contains(*P.edge(i), succ) for i in P.edges_at(v)):
             continue
         landing = ray_polygon_exit(P, succ, v - succ)
         if _step(fr, fr.foot(landing))[1] == INTERIOR:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -25,6 +26,10 @@ SQ = {
 
 
 CORNER = dict(SQ, Pprime=[["1/4", "1/4"], ["1/2", "1/4"], ["1/2", "1/2"], ["1/4", "1/2"]])
+# Every vertex interior: Unattainable, all 2n push-outs rejected.
+SHRUNK = dict(SQ, Pprime=[
+    ["199/200", "1/200"], ["199/200", "199/200"], ["1/200", "199/200"], ["1/200", "1/200"],
+])
 
 
 @pytest.fixture
@@ -175,10 +180,12 @@ def test_verify_rejects_script_from_another_start(sq_path, tmp_path, capsys):
 @pytest.mark.parametrize("instance, reason", [
     (CORNER, "BlcEarlyStop"),
     ({"P": [[0, 0], [4, 0], [0, 4]], "Pprime": [[1, 1], [3, 1], [0, 1]]}, "CollinearInner"),
-], ids=["witness", "triangle"])
+    ({"P": [[0, 0], [4, 0], [0, 0]], "Pprime": [[1, 0], [3, 0], [2, 0]]}, "NotSetConvexOuter"),
+], ids=["witness", "triangle", "triangle-repeated-vertex"])
 def test_decide_json_degeneracy_certificate(instance, reason, tmp_path, capsys):
     """A degenerate verdict reports why, with a witness polygon except at
-    n = 3, where collinear targets decide without one."""
+    n = 3, where collinear targets or a non-set-convex outer polygon
+    decide without one."""
     inst = tmp_path / "deg.json"
     inst.write_text(json.dumps(instance))
     assert run_cli(["decide", str(inst), "--json"]) == 0
@@ -196,9 +203,7 @@ def test_decide_json_lists_tested_pushouts(tmp_path, capsys):
     """An Unattainable report lists the 2n rejected push-outs of an inner
     polygon with every vertex interior, with the runs that failed."""
     inst = tmp_path / "shrunk.json"
-    inst.write_text(json.dumps(dict(SQ, Pprime=[
-        ["199/200", "1/200"], ["199/200", "199/200"], ["1/200", "199/200"], ["1/200", "1/200"],
-    ])))
+    inst.write_text(json.dumps(SHRUNK))
     assert run_cli(["decide", str(inst), "--plan", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "Unattainable" and "plan" not in report
@@ -210,6 +215,46 @@ def test_decide_json_lists_tested_pushouts(tmp_path, capsys):
     assert [(r["why"], len(r["failed_runs"])) for r in pushouts] == [
         ("vertex on neither edge at its corner", 0), ("threshold test failed", 1)
     ] * 4
+
+
+WITNESS = "[[0, 0], [1, '1/2'], [0, '1/2']]"  # of CORNER
+
+
+@pytest.mark.parametrize("args, instance, head", [
+    (["decide", "{inst}", "--plan"], SQ, [
+        "verdict: AttainableVestibule",
+        "  threshold vertex: 1 (cw BLC)",
+        "  push-out: vertex 1 by 4 to ['1/4', 0]",
+        "plan (Vestibule2n, 8 moves):",
+    ]),
+    (["decide", "{inst}", "--plan"], CORNER, [
+        "verdict: AttainableDegenerate",
+        "  degeneracy reason: BlcEarlyStop",
+        f"  witness: {WITNESS}",
+        "plan (DegenerateLt5n, 11 moves):",
+    ]),
+    (["decide", "{inst}", "--plan"], SHRUNK, ["verdict: Unattainable", "  tested push-outs: 8 (all rejected)"]),
+    (["degeneracy", "{inst}"], CORNER, ["degenerate: True (BlcEarlyStop)", f"witness: {WITNESS}"]),
+    (["degeneracy", "{inst}"], SQ, ["degenerate: False (NoGoodTestPoint)"]),
+], ids=["decide-vestibule", "decide-degenerate", "decide-unattainable", "degeneracy-witness", "degeneracy-none"])
+def test_text_reports(args, instance, head, tmp_path, capsys):
+    """Without --json, decide prints its verdict, its certificate and its
+    plan, one pull-in a line as in the JSON report, and ends with its time;
+    degeneracy prints its verdict and any witness."""
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(instance))
+    args = [a.format(inst=inst) for a in args]
+    assert run_cli(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:len(head)] == head
+    rest = lines[len(head):]
+    if args[0] == "decide":
+        assert run_cli(args + ["--json"]) == 0
+        moves = json.loads(capsys.readouterr().out).get("plan", {"moves": []})["moves"]
+        assert rest[:-1] == [f"  pull {m['i']} toward {m['j']} with c = {m['c']}" for m in moves]
+        assert re.fullmatch(r"decided in \d+(\.\d+)? ms", rest[-1])
+    else:
+        assert rest == []
 
 
 @pytest.mark.parametrize("args", [
@@ -246,6 +291,42 @@ def test_matrix_command(sq_path, tmp_path, capsys):
         D = [[pio.parse_rat(v) for v in row] for row in report["product"]]
         P, Pp = ([[pio.parse_rat(v) for v in p] for p in instance[key]] for key in ("P", "Pprime"))
         assert [[sum(D[i][k] * P[k][c] for k in range(4)) for c in range(2)] for i in range(4)] == Pp
+
+
+@pytest.mark.parametrize("args", [
+    ["plan", "{sq}"],
+    ["gen", "--n", "5", "--seed", "11", "--mode", "scripted"],
+], ids=["plan", "gen"])
+def test_stdout_is_what_out_writes(args, sq_path, tmp_path, capsys):
+    """Without -o, plan and gen print the JSON that -o writes to a file."""
+    args = [a.format(sq=sq_path) for a in args]
+    assert run_cli(args) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.json"
+    assert run_cli(args + ["-o", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {out}")
+    assert printed == out.read_text()
+
+
+def test_plan_without_a_plan_exits_1(tmp_path, capsys):
+    """An instance that has no plan is exit code 1 with its verdict on
+    stderr, and nothing on stdout."""
+    inst = tmp_path / "shrunk.json"
+    inst.write_text(json.dumps(SHRUNK))
+    assert run_cli(["plan", str(inst)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "verdict: Unattainable; no plan exists\n")
+
+
+def test_gen_rejects_a_bad_seed_variable(capsys, monkeypatch):
+    """A POLYATTAIN_SEED that is no integer is exit code 2 with one
+    `error: ...` line that names it."""
+    monkeypatch.setenv("POLYATTAIN_SEED", "eleven")
+    with pytest.raises(SystemExit) as e:
+        run_cli(["gen", "--n", "5"])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: bad POLYATTAIN_SEED 'eleven'\n")
 
 
 def test_blc_command(sq_path, tmp_path, capsys):
@@ -453,6 +534,7 @@ BAD_FILE_COMMANDS = [
     pytest.param(["blc", "{content}", "--start", "0,0"],
                  json.dumps(dict(SQ, Pprime=[["1/4", "1/4"], ["1/2", "1/2"], ["3/4", "3/4"], ["1/4", "1/4"]])),
                  id="blc-collinear-pprime"),
+    pytest.param(["gen", "--n", "2"], None, id="gen-n-2"),
     pytest.param(["gen", "-o", "{out}"], None, id="gen-out-missing-dir"),
     pytest.param(["plan", "{sq}", "-o", "{out}"], None, id="plan-out-missing-dir"),
     pytest.param(["blc", "{sq}", "--start", "0,0", "--svg", "{out}"], None, id="blc-svg-missing-dir"),

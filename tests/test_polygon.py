@@ -114,6 +114,25 @@ def test_boundary_round_trip(square):
         assert again == bp
 
 
+def test_edges_at(square):
+    """The closed edges that hold a point, in index order: both edges at a
+    vertex, vertex 0 on edges 0 and n-1; one edge inside it; none inside
+    the polygon, outside it, or on an edge's line past its end."""
+    pentagon = polygon([(0, 0), (4, 0), (5, 3), (2, 5), (-1, 3)])
+    for P in (square, pentagon):
+        n = P.n
+        assert P.edges_at(P.vertices[0]) == [0, n - 1]
+        for j in range(1, n):
+            assert P.edges_at(P.vertices[j]) == [j - 1, j]
+        for i in range(n):
+            a, b = P.edge(i)
+            assert P.edges_at(a + (b - a).scale(Fraction(1, 3))) == [i]
+            assert P.edges_at(a + (b - a).scale(Fraction(4, 3))) == []
+        centroid = sum(P.vertices[1:], P.vertices[0]).scale(Fraction(1, n))
+        assert P.edges_at(centroid) == []
+        assert P.edges_at(pt(9, 9)) == []
+
+
 def test_arc_cmp_examples(square):
     anchor = square.locate_boundary(pt("1/2", 0))
     a = square.locate_boundary(pt(1, "1/2"))

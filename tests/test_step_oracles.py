@@ -14,12 +14,13 @@ from fractions import Fraction
 import pytest
 
 from polyattain.gen import random_convex_combination, random_convex_polygon, random_interior_inner
-from polyattain.geometry import Point, cross, forward_sign, orient, segment_param
+from polyattain.geometry import Point, cross, forward_sign, orient, pt, segment_param
 from polyattain.polygon import (
     BoundaryPoint,
     InvariantError,
     Polygon,
     in_arc,
+    polygon,
     ray_polygon_exit,
 )
 from polyattain.poncelet import BOUNDARY, INTERIOR, blc, poncelet_cw, right_tangent
@@ -100,14 +101,14 @@ def feet(rng, P: Polygon):
         yield BoundaryPoint(P, e, Fraction(rng.randint(1, 15), 16))
 
 
-def check_exit(P, origin, d, through=None):
+def check_exit(P, origin, d):
     try:
         want = exit_oracle(P, origin, d)
     except ValueError:
         with pytest.raises(ValueError):
-            ray_polygon_exit(P, origin, d, through)
+            ray_polygon_exit(P, origin, d)
         return None
-    got = ray_polygon_exit(P, origin, d, through)
+    got = ray_polygon_exit(P, origin, d)
     assert (got.edge, got.t) == (want.edge, want.t), (P, origin, d)
     return got
 
@@ -133,7 +134,7 @@ def test_exit_matches_oracle_from_feet_and_interior_origins():
                 x = bp.realize()
                 z = random_convex_combination(rng, P)
                 if z != x:
-                    check_exit(P, x, z - x, z if rng.random() < 0.5 else None)
+                    check_exit(P, x, z - x)
                 # outward: the ray leaves P at once, so the exit is the origin
                 a, b = P.edge(bp.edge)
                 out = Point(b.y - a.y, a.x - b.x)
@@ -218,6 +219,19 @@ def test_tangent_with_collinear_pivots_and_boundary_case():
                 behind = a + (b - a).scale(bp.t * Fraction(rng.randint(0, 7), 8))
                 check_tangent(P, Polygon(Pp.vertices[1:] + (behind,)), bp)
     assert cases["two"] > 100 and cases[BOUNDARY] > 100
+
+
+def test_tangent_pivots_wrap_around_the_inner_hull():
+    """The near pivot is the inner hull's last vertex and the far pivot its
+    vertex 0: of two hull vertices at the tangent angle the search returns
+    the first in cyclic order, here the last, so the pair is the tangent
+    vertex and its successor across the wrap."""
+    P = polygon([(-5, -5), (5, -5), (5, 5), (-5, 5)])
+    Pp = polygon([(0, 0), (2, 0), (1, 1)])
+    ev = check_tangent(P, Pp, BoundaryPoint(P, 2, 0))  # the foot (5, 5)
+    assert Pp.hull[-1] == pt(1, 1) and Pp.hull[0] == pt(0, 0)
+    assert ev.pivots == (pt(1, 1), pt(0, 0)) and ev.case == INTERIOR
+    assert ev.image == BoundaryPoint(P, 0, 0)
 
 
 def oracle_blc(P, Pp, start, direction, seen: Counter):
