@@ -121,12 +121,13 @@ def _inscribe_onto(rec: _PushRecorder, Q: Polygon) -> None:
     """Push every vertex onto the boundary of Q: vertex 0 pushes the others,
     then is pushed out itself by vertex 1."""
     n = rec.current.n
+    off = lambda p: not any(segment_contains(*Q.edge(i), p) for i in range(Q.n))
     for k in range(1, n):
         cur = rec.current
-        if not Q.edges_at(cur.vertices[k]):
+        if off(cur.vertices[k]):
             rec.push(k, 0, _push_landing(Q, cur.vertices[0], cur.vertices[k]))
     cur = rec.current
-    if not Q.edges_at(cur.vertices[0]):
+    if off(cur.vertices[0]):
         rec.push(0, 1, _push_landing(Q, cur.vertices[1], cur.vertices[0]))
 
 

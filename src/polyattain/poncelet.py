@@ -1,15 +1,14 @@
 """Tangent rays, the Poncelet map and its clockwise twin, juncture sets,
 and the broken line construction.
 
-Every evaluation of the map runs in an integer frame: the vertices of P
-and the hull of Pp times the lcm of their coordinate denominators, which
-changes no orientation sign and no edge parameter.  The foot (edge, t)
-with t = p/q is the homogeneous point (X, Y, W) = ((q-p)a + pb, q) of that
-frame, so each orientation test of the foot against two frame points is
-one linear form in it and the image parameter is the quotient of two
-more: a step realizes no point and builds one Fraction.  The clockwise
-map is the counterclockwise one in the mirrored frame, the same integers
-reflected (y -> -y) and reversed.
+Every evaluation of the map runs in a homogeneous integer frame: each
+vertex of P and of the hull of Pp is the triple (x*w, y*w, w), with w the
+lcm of that vertex's own two denominators.  The foot (edge, t) on the edge
+a -> b with t = p/q is the frame point ((q-p)*b_w*a + p*a_w*b, q*a_w*b_w),
+so every orientation test is one determinant of three frame points and
+the image parameter is the quotient of two: a step realizes no point and
+builds one Fraction.  The clockwise map is the counterclockwise one in the
+mirrored frame, the same triples reflected (y -> -y) and reversed.
 """
 
 from __future__ import annotations
@@ -58,14 +57,14 @@ def _on_boundary(P: Polygon, x: BoundaryPoint | Point, what: str) -> BoundaryPoi
 
 
 class _Frame:
-    """P's vertices and Pp's hull as integer pairs, for the steps of one run.
+    """P's vertices and Pp's hull as homogeneous triples, for one run's steps.
 
-    Counterclockwise, the pairs are the coordinates times the lcm of their
-    denominators.  Clockwise, they are reflected (y -> -y) and reversed, so
-    frame vertex k is vertex n-1-k of P, both stay counterclockwise, and
-    the clockwise map is the counterclockwise step of this frame; this
-    class alone maps clockwise indices.  pts holds the hull's own points
-    in frame order, for the pivots.
+    Counterclockwise, vertex (x, y) is (x*w, y*w, w), with w > 0 the lcm of
+    its own two denominators.  Clockwise, the triples are reflected
+    (y -> -y) and reversed, so frame vertex k is vertex n-1-k of P, both
+    stay counterclockwise, and the clockwise map is the counterclockwise
+    step of this frame; this class alone maps clockwise indices.  pts holds
+    the hull's own points in frame order, for the pivots.
     """
 
     __slots__ = ("P", "ccw", "vs", "hull", "pts")
@@ -74,16 +73,15 @@ class _Frame:
         pts = Pp.hull
         if len(pts) < 3:
             raise ValueError("inner polygon is collinear")
-        scale = lcm(*(c.denominator for v in P.vertices + pts for c in (v.x, v.y)))
 
-        def ints(v: Point) -> tuple[int, int]:
-            return (v.x.numerator * (scale // v.x.denominator),
-                    v.y.numerator * (scale // v.y.denominator))
+        def triple(v: Point) -> tuple[int, int, int]:
+            w = lcm(v.x.denominator, v.y.denominator)
+            return v.x.numerator * (w // v.x.denominator), v.y.numerator * (w // v.y.denominator), w
 
-        vs, hull = [ints(v) for v in P.vertices], [ints(v) for v in pts]
+        vs, hull = [triple(v) for v in P.vertices], [triple(v) for v in pts]
         if not ccw:
-            vs = [(x, -y) for x, y in reversed(vs)]
-            hull, pts = [(x, -y) for x, y in reversed(hull)], pts[::-1]
+            vs = [(x, -y, w) for x, y, w in reversed(vs)]
+            hull, pts = [(x, -y, w) for x, y, w in reversed(hull)], pts[::-1]
         self.P, self.ccw = P, ccw
         self.vs, self.hull, self.pts = tuple(vs), tuple(hull), tuple(pts)
 
@@ -104,29 +102,32 @@ class _Frame:
         return BoundaryPoint(self.P, -2 - e, 1 - t)
 
 
-# The foot f = (X, Y, W) is a homogeneous point with W > 0; u and v are
-# frame points.
+def _det(f, u, v) -> int:
+    """W*u_w*v_w times orient(f, u, v), for frame points (the foot among
+    them) given as homogeneous integer triples (X, Y, W) with W > 0."""
+    X, Y, W = f
+    return (X * (u[1] * v[2] - v[1] * u[2]) - Y * (u[0] * v[2] - v[0] * u[2])
+            + W * (u[0] * v[1] - u[1] * v[0]))
 
 
 def _side(f, u, v) -> int:
     """orient(foot, u, v): +1 if v is strictly left of the line from the
     foot to u, 0 if collinear, -1 if strictly right."""
-    X, Y, W = f
-    d = W * (u[0] * v[1] - u[1] * v[0]) + X * (u[1] - v[1]) + Y * (v[0] - u[0])
-    return (d > 0) - (d < 0)
+    return ((d := _det(f, u, v)) > 0) - (d < 0)
 
 
 def _forward(f, u, v) -> int:
     """forward_sign(foot, u, v): the sign of (u - foot).(v - foot)."""
     X, Y, W = f
-    d = (W * u[0] - X) * (W * v[0] - X) + (W * u[1] - Y) * (W * v[1] - Y)
+    d = ((W * u[0] - X * u[2]) * (W * v[0] - X * v[2])
+         + (W * u[1] - Y * u[2]) * (W * v[1] - Y * v[2]))
     return (d > 0) - (d < 0)
 
 
 def _at(f, u) -> bool:
     """The foot is the point u."""
     X, Y, W = f
-    return u[0] * W == X and u[1] * W == Y
+    return u[0] * W == X * u[2] and u[1] * W == Y * u[2]
 
 
 def _later(f, b, p, q) -> int:
@@ -212,12 +213,10 @@ def _exit(vs, x, f, near) -> tuple[int, Rat]:
         else:
             hi = mid
     i = (first + lo) % n
-    (ax, ay), (bx, by) = vs[i], vs[(i + 1) % n]
-    (nx, ny), (X, Y, W) = near, f
-    # a + s(b - a) on the line through the foot and near, both sides times W.
-    num = W * (nx * ay - ny * ax) + X * (ny - ay) + Y * (ax - nx)
-    den = W * ((bx - ax) * ny - (by - ay) * nx) - (bx - ax) * Y + (by - ay) * X
-    return i, Rat(num, den)
+    a, b = vs[i], vs[(i + 1) % n]
+    # a + s(b - a) on the line foot-near, as _det is orient times each point's w.
+    da, db = b[2] * _det(f, near, a), a[2] * _det(f, near, b)
+    return i, Rat(da, da - db)
 
 
 def _step(fr: _Frame, x: tuple[int, Rat]):
@@ -236,8 +235,9 @@ def _step(fr: _Frame, x: tuple[int, Rat]):
     n, m = len(vs), len(hull)
     e, t = x
     p, q = t.numerator, t.denominator
-    (ax, ay), b = vs[e], vs[(e + 1) % n]
-    f = ((q - p) * ax + p * b[0], (q - p) * ay + p * b[1], q)
+    a, b = vs[e], vs[(e + 1) % n]
+    ca, cb = (q - p) * b[2], p * a[2]
+    f = (ca * a[0] + cb * b[0], ca * a[1] + cb * b[1], q * a[2] * b[2])
     k = _tangent_index(hull, f, b)
     v, prev, nxt = hull[k], hull[k - 1], hull[(k + 1) % m]
     o_prev, o_next = _side(f, v, prev), _side(f, v, nxt)
@@ -250,7 +250,7 @@ def _step(fr: _Frame, x: tuple[int, Rat]):
     else:
         pivots = (k,)
     near, far = hull[pivots[0]], hull[pivots[-1]]
-    if (b[0] - ax) * (far[1] - ay) == (b[1] - ay) * (far[0] - ax):
+    if _det(a, b, far) == 0:
         # Tangent collinear with the host edge through the foot: the
         # boundary case.  The backward direction would force Pp onto that
         # edge line, which the collinearity gate of the frame excludes.
@@ -296,7 +296,9 @@ class BlcResult:
 
     points are x_1..x_l in travel order; pivots has length l-1 and holds
     the far pivot p(x_k) of each applied step x_{k+1} = map(x_k);
-    stop_image records the rejected evaluation at x_l.
+    stop_image records the rejected evaluation at x_l.  A result of `blc`
+    keeps its run as frame pairs and builds each of these three when it is
+    first read, so a caller that reads only l builds no point.
     """
 
     points: tuple[BoundaryPoint, ...]
@@ -306,7 +308,16 @@ class BlcResult:
 
     @property
     def l(self) -> int:
-        return len(self.points)
+        return len(self._run[1] if "_run" in self.__dict__ else self.points)
+
+    def __getattr__(self, name: str):
+        if "_run" not in self.__dict__ or name not in ("points", "pivots", "stop_image"):
+            raise AttributeError(name)
+        fr, run, fars, stop = self._run
+        value = (tuple(map(fr.boundary_point, run)) if name == "points" else
+                 tuple(fr.pts[k] for k in fars) if name == "pivots" else fr.boundary_point(stop))
+        object.__setattr__(self, name, value)
+        return value
 
 
 def _in_open_arc(n: int, a, b, z) -> bool:
@@ -322,7 +333,7 @@ def blc(P: Polygon, Pp: Polygon, start: BoundaryPoint | Point, direction: str = 
     soon as the next image leaves the open arc back to the start.
 
     The run iterates on the frame's (edge, t) pairs, clockwise in the
-    mirrored frame, and builds boundary points only for the result.
+    mirrored frame; the result builds its points from them when read.
     """
     if direction not in ("ccw", "cw"):
         raise ValueError("direction must be 'ccw' or 'cw'")
@@ -343,12 +354,9 @@ def blc(P: Polygon, Pp: Polygon, start: BoundaryPoint | Point, direction: str = 
             raise InvariantError(f"broken line exceeded its bound of {n + 1} points")
     if len(points) < 3:
         raise InvariantError("broken line stopped before its third point")
-    return BlcResult(
-        tuple(map(fr.boundary_point, points)),
-        tuple(fr.pts[k] for k in fars),
-        fr.boundary_point(nxt),
-        direction,
-    )
+    res = object.__new__(BlcResult)
+    res.__dict__.update(direction=direction, _run=(fr, points, fars, nxt))
+    return res
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from polyattain.degeneracy import (
 from polyattain.degeneracy import test_points as degeneracy_test_points
 from polyattain.geometry import Point, pt
 from polyattain.planners import maximal_degenerate_extend
-from polyattain.polygon import Polygon, co_contains, polygon
+from polyattain.polygon import BoundaryPoint, Polygon, co_contains, polygon
 from polyattain.poncelet import blc
 from polyattain.gen import (
     generate,
@@ -305,3 +305,49 @@ def test_witness_check_survives_optimize_flag():
                          env=env, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["raised"] * 10
+
+
+def test_points_are_built_only_when_read(monkeypatch, square, inner_square, corner_quad):
+    """The scan reads only l, so a non-degenerate verdict builds no boundary
+    point and an early stop builds the l points of its witness; a result
+    of blc reads, compares and prints as one built eagerly from its fields."""
+    from fractions import Fraction
+
+    from polyattain import degeneracy
+    from polyattain.poncelet import BlcResult, _Frame
+
+    built, runs = [0], []
+    boundary_point = _Frame.boundary_point
+
+    def counted(self, x):
+        built[0] += 1
+        return boundary_point(self, x)
+
+    def recorded(P, Pp, start, direction="ccw"):
+        runs.append(blc(P, Pp, start, direction))
+        return runs[-1]
+
+    monkeypatch.setattr(_Frame, "boundary_point", counted)
+    monkeypatch.setattr(degeneracy, "blc", recorded)
+    v = is_degenerate(square, inner_square)
+    assert not v.degenerate and len(runs) == 8 and built[0] == 0
+    runs.clear()
+    v = is_degenerate(square, corner_quad)
+    assert v.reason == BLC_EARLY_STOP and built[0] == runs[-1].l == v.witness.n
+
+    rng = rng_for("lazy-blc-results")
+    for n in range(4, 9):
+        P = random_convex_polygon(rng, n)
+        Pp = random_inner(rng, P)
+        if Pp.is_collinear:
+            continue
+        for start in (BoundaryPoint(P, 0, 0), BoundaryPoint(P, n - 1, Fraction(1, 3))):
+            for direction in ("ccw", "cw"):
+                res = blc(P, Pp, start, direction)
+                eager = BlcResult(res.points, res.pivots, res.stop_image, direction)
+                built[0] = 0
+                fresh = blc(P, Pp, start, direction)
+                assert fresh.l == eager.l and built[0] == 0
+                assert repr(fresh) == repr(eager) and built[0] == eager.l + 1
+                assert fresh == eager and blc(P, Pp, start, direction) == eager
+                assert hash(blc(P, Pp, start, direction)) == hash(eager)

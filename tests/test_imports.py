@@ -78,6 +78,14 @@ def test_no_function_local_package_imports():
     assert found == []
 
 
+def test_src_makes_no_assert_statements():
+    """Every check of src/ is an explicit raise, so it still runs under
+    `python -O`, which strips assert statements."""
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}" for path in sorted((ROOT / "src").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path))) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def _public_definitions(tree: ast.Module) -> list[str]:
     """Public module-level names and public methods (as Class.method)."""
     names = []

@@ -10,6 +10,7 @@ every edge, and every hull vertex tested against every other.
 
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -19,11 +20,12 @@ from polyattain.polygon import (
     BoundaryPoint,
     InvariantError,
     Polygon,
+    co_contains,
     in_arc,
     polygon,
     ray_polygon_exit,
 )
-from polyattain.poncelet import BOUNDARY, INTERIOR, blc, poncelet_cw, right_tangent
+from polyattain.poncelet import BOUNDARY, INTERIOR, _Frame, blc, poncelet_cw, right_tangent
 
 from conftest import rng_for
 
@@ -268,6 +270,24 @@ def gamma1_starts(P, Pp):
             yield landing
 
 
+def check_blc(P, Pp, start, direction, seen: Counter):
+    """blc against the oracle run: the result, or None when both reject
+    the start."""
+    try:
+        want = oracle_blc(P, Pp, start, direction, seen)
+    except ValueError:
+        with pytest.raises(ValueError):
+            blc(P, Pp, start, direction)
+        return None
+    if len(want[0]) < 3:
+        with pytest.raises(InvariantError):
+            blc(P, Pp, start, direction)
+        return None
+    got = blc(P, Pp, start, direction)
+    assert (list(got.points), list(got.pivots), got.stop_image) == want, (P, Pp, start)
+    return got
+
+
 def test_blc_runs_match_oracle_step():
     """Whole runs, both directions, from vertex, edge and Gamma_1 starts,
     against runs iterated with the oracle step: interior inner polygons,
@@ -291,20 +311,10 @@ def test_blc_runs_match_oracle_step():
             starts += list(gamma1_starts(P, Pp))[:2]
             for start in starts:
                 for direction in ("ccw", "cw"):
-                    try:
-                        want = oracle_blc(P, Pp, start, direction, seen)
-                    except ValueError:
-                        with pytest.raises(ValueError):
-                            blc(P, Pp, start, direction)
-                        continue
-                    if len(want[0]) < 3:
-                        with pytest.raises(InvariantError):
-                            blc(P, Pp, start, direction)
-                        continue
-                    got = blc(P, Pp, start, direction)
-                    assert (list(got.points), list(got.pivots), got.stop_image) == want, (P, Pp, start)
-                    runs += 1
-                    bits = max(bits, max(b.t.denominator.bit_length() for b in got.points))
+                    got = check_blc(P, Pp, start, direction, seen)
+                    if got is not None:
+                        runs += 1
+                        bits = max(bits, max(b.t.denominator.bit_length() for b in got.points))
     assert runs > 250 and bits > 500
     assert seen[BOUNDARY] > 100 and seen["two"] > 20
 
@@ -349,3 +359,81 @@ def test_steps_take_logarithmic_orientation_tests(monkeypatch):
         assert calls["exit"] <= 2 + 7 + 1  # two end signs, the bisection
         assert calls["tangent"] <= 2 + 2 * 7 + 3  # two slopes, the bisection, the checks
         assert calls["points"] == 0
+
+
+# 2^p - 1 for distinct primes p are pairwise coprime, as
+# gcd(2^a - 1, 2^b - 1) = 2^gcd(a, b) - 1; p = 61 gives 2^61 - 1.
+COPRIME_DENS = [2**p - 1 for p in (61, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 67, 71, 73,
+                                   79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
+                                   151, 157, 163, 167, 173, 179, 181, 191, 193, 197)]
+
+
+def nudged(rng, vertices, dens) -> Polygon:
+    """Integer vertices each moved by +-1/d in x and y, with its own two
+    denominators d taken from dens, so no two coordinates share a factor."""
+    out = []
+    for v in vertices:
+        dx, dy = next(dens), next(dens)
+        out.append(Point(v.x + Fraction(rng.choice((-1, 1)), dx), v.y + Fraction(rng.choice((-1, 1)), dy)))
+    return Polygon(tuple(out))
+
+
+def coprime_pairs(rng):
+    """P and an interior Pp whose vertices all have distinct, pairwise
+    coprime denominators of 13 to 197 bits; then P with Pp sharing two or
+    all of P's vertices, or with one vertex inside an edge of P, so that
+    feet also sit at inner hull vertices."""
+    for n in (3, 4, 5, 6, 8, 10):
+        dens = iter(COPRIME_DENS)
+        base = random_convex_polygon(rng, n).vertices
+        P = nudged(rng, [v.scale(4) for v in base], dens)
+        # each a convex combination of three vertices of 4 * base, strictly inside
+        inner = [base[k] + base[(k + 1) % n] + base[(k + 2) % n].scale(2) for k in range(n)]
+        Pp = nudged(rng, inner, dens)
+        assert P.is_convex_ccw and co_contains(P, Pp) and len(Pp.hull) >= 3
+        yield P, Pp
+        yield P, Polygon((P.vertices[0], P.vertices[n // 2]) + Pp.vertices[1:])
+        yield P, P
+        yield P, Polygon((BoundaryPoint(P, 1, Fraction(1, 2**31 - 1)).realize(),) + Pp.vertices[1:])
+
+
+def test_frame_triples_carry_only_their_own_vertex():
+    """Each frame point is (x*w, y*w, w) with w the lcm of its vertex's own
+    two denominators, both ways round, not a scale shared by all."""
+    rng = rng_for("frame-own-denominators")
+    for P, Pp in coprime_pairs(rng):
+        for ccw in (True, False):
+            fr = _Frame(P, Pp, ccw)
+            vs, hull = P.vertices, fr.pts
+            if not ccw:
+                vs = vs[::-1]
+            for v, (X, Y, w) in zip(vs + hull, fr.vs + fr.hull):
+                assert w == lcm(v.x.denominator, v.y.denominator)
+                assert (Fraction(X, w), Fraction(Y if ccw else -Y, w)) == (v.x, v.y)
+                assert w.bit_length() <= v.x.denominator.bit_length() + v.y.denominator.bit_length()
+
+
+def test_steps_and_runs_on_coprime_denominators_match_oracle():
+    """Tangents, images and whole runs, both directions, from vertex and
+    edge feet, on frames whose points all have different w."""
+    rng = rng_for("step-oracle-coprime")
+    seen, runs = Counter(), 0
+    for P, Pp in coprime_pairs(rng):
+        Pm, Ppm = mirrored(P), mirrored(Pp)
+        on_p = [bp for bp in map(P.locate_boundary, Pp.vertices) if bp is not None]
+        for bp in list(feet(rng, P)) + on_p:
+            check_tangent(P, Pp, bp)
+            m = mirror_point(bp, Pm)
+            try:
+                want = tangent_oracle(Pm, Ppm, m)[2]
+            except ValueError:
+                with pytest.raises(ValueError):
+                    poncelet_cw(P, Pp, bp)
+                continue
+            assert poncelet_cw(P, Pp, bp) == mirror_point(want, P)
+        starts = [BoundaryPoint(P, rng.randrange(P.n), 0),
+                  BoundaryPoint(P, rng.randrange(P.n), Fraction(rng.randint(1, 2**31 - 2), 2**31 - 1))]
+        for start in starts + list(gamma1_starts(P, Pp))[:1]:
+            for direction in ("ccw", "cw"):
+                runs += check_blc(P, Pp, start, direction, seen) is not None
+    assert runs > 30
