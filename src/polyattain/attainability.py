@@ -88,12 +88,12 @@ def _threshold_probe(
     failures = []
     if on_prev:
         res = blc(P, Pp, bp, "ccw")
-        if res.l == n and in_arc(v_prev, bp, res.points[-1], True, False):
+        if res.l == n and in_arc(v_prev, bp, res.last, True, False):
             return res, None, tuple()
         failures.append(res)
     if on_this:
         res = blc(P, Pp, bp, "cw")
-        if res.l == n and in_arc(bp, v_next, res.points[-1], False, True):
+        if res.l == n and in_arc(bp, v_next, res.last, False, True):
             return res, None, tuple()
         failures.append(res)
     return None, TEST_FAILED, tuple(failures)

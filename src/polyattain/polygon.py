@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .geometry import (
@@ -136,10 +136,10 @@ class BoundaryPoint:
     """A point of the boundary of a convex CCW polygon, as (edge, t).
 
     Realizes (1-t)*p_i + t*p_{i+1} with 0 <= t < 1, so a vertex is always
-    addressed on its own edge with t = 0.
+    addressed on its own edge with t = 0.  The hash skips the costly host.
     """
 
-    host: Polygon
+    host: Polygon = field(hash=False)
     edge: int
     t: Rat
 
@@ -176,7 +176,7 @@ def ray_polygon_exit(P: Polygon, origin: Point, direction: Point) -> BoundaryPoi
     it, not both on it.  Strict convexity leaves one such point (a vertex on
     the line may end one such edge and start the next).  One exact
     intersection then gives the point.  The steps of the broken line find
-    their exits by bisection instead, in `poncelet`.
+    their exits in `poncelet`, by bisection or by a walk from the foot.
     """
     q = origin + direction
     vs, n = P.vertices, P.n

@@ -7,8 +7,9 @@ lcm of that vertex's own two denominators.  The foot (edge, t) on the edge
 a -> b with t = p/q is the frame point ((q-p)*b_w*a + p*a_w*b, q*a_w*b_w),
 so every orientation test is one determinant of three frame points and
 the image parameter is the quotient of two: a step realizes no point and
-builds one Fraction.  The clockwise map is the counterclockwise one in the
-mirrored frame, the same triples reflected (y -> -y) and reversed.
+builds one Fraction, and in a run walks on from the step before.  The
+clockwise map is the counterclockwise one in the mirrored frame, the same
+triples reflected (y -> -y) and reversed.
 """
 
 from __future__ import annotations
@@ -151,21 +152,26 @@ def _later(f, b, p, q) -> int:
     return 1 if _forward(f, b, p) > 0 else -1
 
 
-def _tangent_index(hull, f, b) -> int:
+def _tangent_index(hull, f, b, hint=None) -> int:
     """Index of the hull vertex that the foot sees at the smallest angle
     (see `_later`); of two at that angle, the first in cyclic order.
 
     Around the hull the angles rise from the minimum to a maximum and fall
-    back to it.  Unless vertex 0 is the minimum, "vertex k comes before the
-    minimum" holds up to it and fails from it on, and the slope at k with
-    one comparison against vertex 0 decides it, so a bisection takes
-    O(log h) orientation tests.
+    back to it.  A walk from the hint, the last vertex at the largest angle,
+    goes down the fall to the minimum.  Else, unless vertex 0 is the minimum,
+    "vertex k comes before the minimum" holds up to it and fails from it
+    on, and the slope at k with one comparison against vertex 0 decides it.
     """
     m = len(hull)
 
     def slope(k: int) -> int:
         return _later(f, b, hull[k], hull[(k + 1) % m])
 
+    if hint is not None:
+        for k in range(hint, hint + m):
+            if slope(k % m) >= 0:
+                return k % m
+        raise InvariantError("tangent walk went round the inner hull")
     first = slope(0)
     if first >= 0 and slope(m - 1) < 0:
         return 0
@@ -187,14 +193,14 @@ def _tangent_index(hull, f, b) -> int:
     return hi
 
 
-def _exit(vs, x, f, near) -> tuple[int, Rat]:
+def _exit(vs, x, f, near, walk=False) -> tuple[int, Rat]:
     """Where the ray from the foot x through near leaves the polygon with
     vertices vs, as an (edge, t) pair.
 
     The ray enters the polygon, so the sides of the vertices after the
     foot's edge, relative to its line, run right ..., at most one on the
-    line, left ...: a bisection finds the exit edge in O(log n) tests, and
-    the exit parameter is the quotient of two linear forms in the foot.
+    line, left ...: a bisection, or a walk on from the foot, finds the exit
+    edge, and the exit parameter is the quotient of two forms in the foot.
     """
     n = len(vs)
     e, t = x
@@ -204,7 +210,7 @@ def _exit(vs, x, f, near) -> tuple[int, Rat]:
     if _side(f, near, vs[first % n]) >= 0 or _side(f, near, vs[(first + hi) % n]) <= 0:
         raise ValueError("tangent ray does not enter the outer polygon")
     while hi - lo > 1:
-        mid = (lo + hi) // 2
+        mid = lo + 1 if walk else (lo + hi) // 2
         side = _side(f, near, vs[(first + mid) % n])
         if side == 0:
             return (first + mid) % n, _ZERO
@@ -219,16 +225,19 @@ def _exit(vs, x, f, near) -> tuple[int, Rat]:
     return i, Rat(da, da - db)
 
 
-def _step(fr: _Frame, x: tuple[int, Rat]):
+def _step(fr: _Frame, x: tuple[int, Rat], hint=None):
     """The Poncelet map at the frame's foot x = (edge, t): the hull indices
     of the pivots, the case and the image as an (edge, t) pair.
 
-    The tangent vertex is found by bisection and certified by its two hull
-    neighbours: both weakly left of the ray means the whole hull is, since
-    the hull is convex.  Only a neighbour can share the tangent line, and
-    only the next one can be the second pivot.  A previous neighbour on the
-    ray past the tangent vertex would put the hull right of the ray, which
-    the check rejects; one before it lies at the same angle, and
+    hint is the previous far pivot when x is the previous image: on the
+    ray that ended at x, it is the last vertex that x sees at the largest
+    angle, so the tangent vertex and the exit edge are walked to from it
+    and from x, not bisected.  The tangent vertex is certified by its two
+    hull neighbours: both weakly left of the ray means the whole hull is,
+    since the hull is convex.  Only a neighbour can share the tangent line,
+    and only the next one can be the second pivot.  A previous neighbour on
+    the ray past the tangent vertex would put the hull right of the ray,
+    which the check rejects; one before it lies at the same angle, and
     `_tangent_index` returns the first of two such vertices.
     """
     vs, hull = fr.vs, fr.hull
@@ -238,7 +247,7 @@ def _step(fr: _Frame, x: tuple[int, Rat]):
     a, b = vs[e], vs[(e + 1) % n]
     ca, cb = (q - p) * b[2], p * a[2]
     f = (ca * a[0] + cb * b[0], ca * a[1] + cb * b[1], q * a[2] * b[2])
-    k = _tangent_index(hull, f, b)
+    k = _tangent_index(hull, f, b, hint)
     v, prev, nxt = hull[k], hull[k - 1], hull[(k + 1) % m]
     o_prev, o_next = _side(f, v, prev), _side(f, v, nxt)
     if _at(f, v) or o_prev < 0 or o_next < 0:
@@ -257,7 +266,7 @@ def _step(fr: _Frame, x: tuple[int, Rat]):
         if _forward(f, b, far) <= 0:
             raise InvariantError("tangent runs backwards along the host edge")
         return pivots, BOUNDARY, ((e + 1) % n, _ZERO)
-    image = _exit(vs, x, f, near)
+    image = _exit(vs, x, f, near, hint is not None)
     if image == x:
         raise InvariantError("tangent ray exits P at its own foot")
     return pivots, INTERIOR, image
@@ -298,7 +307,7 @@ class BlcResult:
     the far pivot p(x_k) of each applied step x_{k+1} = map(x_k);
     stop_image records the rejected evaluation at x_l.  A result of `blc`
     keeps its run as frame pairs and builds each of these three when it is
-    first read, so a caller that reads only l builds no point.
+    first read: reading l builds no point, and reading last builds one.
     """
 
     points: tuple[BoundaryPoint, ...]
@@ -309,6 +318,11 @@ class BlcResult:
     @property
     def l(self) -> int:
         return len(self._run[1] if "_run" in self.__dict__ else self.points)
+
+    @property
+    def last(self) -> BoundaryPoint:
+        d = self.__dict__
+        return d["points"][-1] if "points" in d else d["_run"][0].boundary_point(d["_run"][1][-1])
 
     def __getattr__(self, name: str):
         if "_run" not in self.__dict__ or name not in ("points", "pivots", "stop_image"):
@@ -332,8 +346,9 @@ def blc(P: Polygon, Pp: Polygon, start: BoundaryPoint | Point, direction: str = 
     """Iterate the Poncelet map from a starting boundary point, stopping as
     soon as the next image leaves the open arc back to the start.
 
-    The run iterates on the frame's (edge, t) pairs, clockwise in the
-    mirrored frame; the result builds its points from them when read.
+    The run steps on the frame's (edge, t) pairs, clockwise in the mirrored
+    frame, each step walking on from the last, so its tangent and exit
+    pointers go round once; the result builds its points when read.
     """
     if direction not in ("ccw", "cw"):
         raise ValueError("direction must be 'ccw' or 'cw'")
@@ -344,7 +359,7 @@ def blc(P: Polygon, Pp: Polygon, start: BoundaryPoint | Point, direction: str = 
     pivots, _, x = _step(fr, x0)
     points, fars = [x0, x], [pivots[-1]]
     while True:
-        pivots, _, nxt = _step(fr, x)
+        pivots, _, nxt = _step(fr, x, fars[-1])
         if not _in_open_arc(n, x, x0, nxt):
             break
         points.append(nxt)

@@ -309,8 +309,9 @@ def test_witness_check_survives_optimize_flag():
 
 def test_points_are_built_only_when_read(monkeypatch, square, inner_square, corner_quad):
     """The scan reads only l, so a non-degenerate verdict builds no boundary
-    point and an early stop builds the l points of its witness; a result
-    of blc reads, compares and prints as one built eagerly from its fields."""
+    point and an early stop builds the l points of its witness; last builds
+    one point until the points are built; a result of blc reads, compares
+    and prints as one built eagerly from its fields."""
     from fractions import Fraction
 
     from polyattain import degeneracy
@@ -348,6 +349,8 @@ def test_points_are_built_only_when_read(monkeypatch, square, inner_square, corn
                 built[0] = 0
                 fresh = blc(P, Pp, start, direction)
                 assert fresh.l == eager.l and built[0] == 0
-                assert repr(fresh) == repr(eager) and built[0] == eager.l + 1
+                assert fresh.last == eager.last == eager.points[-1] and built[0] == 1
+                assert repr(fresh) == repr(eager) and built[0] == eager.l + 2
+                assert fresh.last == eager.last and built[0] == eager.l + 2
                 assert fresh == eager and blc(P, Pp, start, direction) == eager
                 assert hash(blc(P, Pp, start, direction)) == hash(eager)

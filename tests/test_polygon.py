@@ -106,6 +106,18 @@ def test_boundary_point_canonical(square):
         BoundaryPoint(bowtie, 0, Fraction(1, 2))
 
 
+def test_boundary_point_hash_skips_the_host(square):
+    """Points of different hosts at one (edge, t) hash alike but stay
+    unequal, so a set keeps both; equal points hash equal."""
+    other = polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
+    a, b = BoundaryPoint(square, 1, Fraction(1, 2)), BoundaryPoint(other, 1, Fraction(1, 2))
+    assert hash(a) == hash(b) and a != b and len({a, b}) == 2
+    assert BoundaryPoint(square, 0, Fraction(1)) == BoundaryPoint(square, 1, 0)
+    assert hash(BoundaryPoint(square, 0, Fraction(1))) == hash(BoundaryPoint(square, 1, 0))
+    assert {BoundaryPoint(polygon([(0, 0), (1, 0), (1, 1), (0, 1)]), 1, 0), b} == {
+        BoundaryPoint(square, 1, 0), b}
+
+
 def test_boundary_round_trip(square):
     rng = rng_for("roundtrip")
     for _ in range(200):

@@ -3,7 +3,8 @@
 `ray_polygon_exit` finds its exit edge by the orientation signs of all
 vertices.  A step of the map, in `poncelet`, finds its tangent vertex by a
 bisection over the inner hull and its exit edge by a bisection over the
-outer polygon, on linear forms in the foot's edge parameter.  The oracles
+outer polygon, on linear forms in the foot's edge parameter; within a run
+it walks to both, from the previous far pivot and from the foot.  The oracles
 below are the direct versions in Fraction points: the ray intersected with
 every edge, and every hull vertex tested against every other.
 """
@@ -288,13 +289,11 @@ def check_blc(P, Pp, start, direction, seen: Counter):
     return got
 
 
-def test_blc_runs_match_oracle_step():
-    """Whole runs, both directions, from vertex, edge and Gamma_1 starts,
-    against runs iterated with the oracle step: interior inner polygons,
-    inner polygons touching the boundary, Pp == P and interior shrinks,
-    whose long runs carry edge parameters of hundreds of bits."""
-    rng = rng_for("step-oracle-blc")
-    seen, runs, bits = Counter(), 0, 0
+def blc_cases(rng):
+    """(P, Pp, start, direction) for whole runs, both directions, from
+    vertex, edge and Gamma_1 starts: interior inner polygons, inner polygons
+    touching the boundary, Pp == P and interior shrinks, whose long runs
+    carry edge parameters of hundreds of bits."""
     for n in list(range(3, 13)) + [16, 24]:
         P = rational_polygon(rng, n)
         touching = list(random_interior_inner(rng, P).vertices)
@@ -311,12 +310,113 @@ def test_blc_runs_match_oracle_step():
             starts += list(gamma1_starts(P, Pp))[:2]
             for start in starts:
                 for direction in ("ccw", "cw"):
-                    got = check_blc(P, Pp, start, direction, seen)
-                    if got is not None:
-                        runs += 1
-                        bits = max(bits, max(b.t.denominator.bit_length() for b in got.points))
+                    yield P, Pp, start, direction
+
+
+def test_blc_runs_match_oracle_step():
+    """The runs of `blc_cases` against runs iterated with the oracle step."""
+    rng = rng_for("step-oracle-blc")
+    seen, runs, bits = Counter(), 0, 0
+    for P, Pp, start, direction in blc_cases(rng):
+        got = check_blc(P, Pp, start, direction, seen)
+        if got is not None:
+            runs += 1
+            bits = max(bits, max(b.t.denominator.bit_length() for b in got.points))
     assert runs > 250 and bits > 500
     assert seen[BOUNDARY] > 100 and seen["two"] > 20
+
+
+def test_walked_steps_match_bisected_steps(monkeypatch):
+    """Every step of the runs of `blc_cases` after the first, walked on
+    from the previous far pivot, equals the step bisected from the foot
+    alone, error or result.  Pinned: steps whose hint is the far one of two
+    pivots, where the near one would stop the walk at once; steps from a
+    boundary-case image; walks that wrap from the last hull vertex to
+    vertex 0; and steps that take two pivots or end in the boundary case."""
+    from polyattain import poncelet
+
+    step, seen, prev = poncelet._step, Counter(), [None]
+
+    def outcome(*args):
+        try:
+            return step(*args)
+        except (ValueError, InvariantError) as err:
+            return type(err), str(err)
+
+    def walked(fr, x, hint=None):
+        got = outcome(fr, x, hint)
+        if hint is not None:
+            assert got == outcome(fr, x), (fr.P, fr.ccw, x, hint)
+            seen[fr.ccw] += 1
+            seen["from two"] += len(prev[0][0]) == 2
+            seen["from boundary"] += prev[0][1] == BOUNDARY
+        if isinstance(got[0], type):  # the step raised, so the run stops here
+            raise got[0](got[1])
+        if hint is not None:
+            seen["wrap"] += got[0][0] < hint
+            seen["two"] += len(got[0]) == 2
+            seen[BOUNDARY] += got[1] == BOUNDARY
+        prev[0] = got
+        return got
+
+    monkeypatch.setattr(poncelet, "_step", walked)
+    for P, Pp, start, direction in blc_cases(rng_for("step-oracle-blc")):
+        try:
+            blc(P, Pp, start, direction)
+        except (ValueError, InvariantError):
+            pass
+    assert seen[True] > 800 and seen[False] > 800
+    assert seen["from two"] > 50 and seen["two"] >= 4
+    assert seen["from boundary"] > 400 and seen[BOUNDARY] > 400
+    assert seen["wrap"] > 200
+
+
+def test_walked_step_rejects_a_ray_that_leaves_at_its_foot():
+    """An inner triangle poking out below the square: the run from (4, 4)
+    pivots on (1, 1) and (0, 0) and lands on the corner (0, 0), from where
+    the tangent to (1, -2) leaves the square at once.  The walked step
+    rejects it as the bisected one does, by the exit's end signs."""
+    P = polygon([(0, 0), (4, 0), (4, 4), (0, 4)])
+    Pp = polygon([(1, 1), (0, 0), (1, -2)])
+    ev = right_tangent(P, Pp, BoundaryPoint(P, 2, 0))
+    assert ev.pivots == (pt(1, 1), pt(0, 0)) and ev.image == BoundaryPoint(P, 0, 0)
+    with pytest.raises(ValueError, match="does not enter"):
+        right_tangent(P, Pp, ev.image)
+    for start in (BoundaryPoint(P, 2, 0), BoundaryPoint(P, 3, 0)):
+        with pytest.raises(ValueError, match="does not enter"):
+            blc(P, Pp, start)
+
+
+def test_run_steps_take_a_flat_number_of_determinants(monkeypatch):
+    """A whole run walks its tangent and exit pointers once round: at n =
+    32, 64 and 128 each step makes at most 12 frame determinants on
+    average, where bisecting every step makes about 21 at n = 32 and 28 at
+    n = 128."""
+    from polyattain import poncelet
+
+    calls = Counter()
+    det, step = poncelet._det, poncelet._step
+
+    def counted_det(*args):
+        calls["det"] += 1
+        return det(*args)
+
+    def counted_step(*args):
+        calls["step"] += 1
+        return step(*args)
+
+    monkeypatch.setattr(poncelet, "_det", counted_det)
+    monkeypatch.setattr(poncelet, "_step", counted_step)
+    rng = rng_for("run-cost")
+    for n in (32, 64, 128):
+        P = random_convex_polygon(rng, n)
+        c = random_convex_combination(rng, P)
+        Pp = Polygon(tuple(c + (v - c).scale(1 - Fraction(1, n * n)) for v in P.vertices))
+        for direction in ("ccw", "cw"):
+            calls.clear()
+            res = blc(P, Pp, BoundaryPoint(P, 1, 0), direction)
+            assert res.l > 3 * n // 4 and calls["step"] == res.l
+            assert calls["det"] <= 12 * calls["step"], (n, direction, calls)
 
 
 def test_steps_take_logarithmic_orientation_tests(monkeypatch):
