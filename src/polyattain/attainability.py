@@ -154,7 +154,7 @@ def decide(P: Polygon, Pp: Polygon, plan_moves: bool = False) -> Verdict:
     if canon is None:
         raise InvariantError("a non-degenerate instance has a set-convex outer polygon")
     Pc, sigma = canon
-    Ppc = Polygon(tuple(Pp.vertices[s] for s in sigma))
+    Ppc = Pp if Pc is P else Polygon(tuple(Pp.vertices[s] for s in sigma))
     found, audit = vestibule_test(Pc, Ppc)
     if found is not None:
         plan = None

@@ -4,12 +4,15 @@ Every predicate and construction here is exact; all scalars are
 ``fractions.Fraction`` and no tolerances exist anywhere.  The hot
 predicates ``orient`` and ``forward_sign`` work on numerators and
 denominators as plain integers, so they build no Fraction and take no gcd.
+A polygon's vertices are also kept as homogeneous integer triples
+(`homogeneous`), on which an orientation is one determinant (`_det`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 Rat = Fraction
 
@@ -78,6 +81,28 @@ def forward_sign(a: Point, b: Point, c: Point) -> int:
     # The dot product times the positive bxd*cxd*axd^2 * byd*cyd*ayd^2.
     d = p1 * p4 * byd * ayd * cyd * ayd + p3 * p2 * bxd * axd * cxd * axd
     return (d > 0) - (d < 0)
+
+
+Triple = tuple[int, int, int]
+
+
+def homogeneous(points) -> tuple[Triple, ...]:
+    """Each point (x, y) as the integer triple (x*w, y*w, w), with w > 0 the
+    lcm of that point's own two denominators."""
+    out = []
+    for v in points:
+        xd, yd = v.x.denominator, v.y.denominator
+        w = lcm(xd, yd)
+        out.append((v.x.numerator * (w // xd), v.y.numerator * (w // yd), w))
+    return tuple(out)
+
+
+def _det(f: Triple, u: Triple, v: Triple) -> int:
+    """W*u_w*v_w times orient(f, u, v), for points given as homogeneous
+    integer triples (X, Y, W) with W > 0."""
+    X, Y, W = f
+    return (X * (u[1] * v[2] - v[1] * u[2]) - Y * (u[0] * v[2] - v[0] * u[2])
+            + W * (u[0] * v[1] - u[1] * v[0]))
 
 
 def convex_hull(points: list[Point]) -> list[Point]:

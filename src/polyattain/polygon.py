@@ -8,9 +8,12 @@ from functools import cached_property
 from .geometry import (
     Point,
     Rat,
+    Triple,
+    _det,
     collinear_points,
     convex_hull,
     cross,
+    homogeneous,
     orient,
     pt,
     segment_contains,
@@ -47,8 +50,33 @@ class Polygon:
         return self.vertex(i), self.vertex(i + 1)
 
     @cached_property
+    def triples(self) -> tuple[Triple, ...]:
+        """The vertices as homogeneous integer triples (x*w, y*w, w), built
+        once per polygon; the convexity test and every broken-line frame on
+        this polygon read them."""
+        return homogeneous(self.vertices)
+
+    @cached_property
     def hull(self) -> tuple[Point, ...]:
+        """Extreme points of the hull counterclockwise from the lexicographic
+        minimum, as `convex_hull` gives them.  A convex CCW polygon is its
+        own hull, rotated; `convex_hull` runs only for the others."""
+        if self.is_convex_ccw:
+            k = self._lexmin
+            return self.vertices[k:] + self.vertices[:k]
         return tuple(convex_hull(list(self.vertices)))
+
+    @cached_property
+    def hull_triples(self) -> tuple[Triple, ...]:
+        """`triples` of the hull, in hull order."""
+        if self.is_convex_ccw:
+            k = self._lexmin
+            return self.triples[k:] + self.triples[:k]
+        return homogeneous(self.hull)
+
+    @cached_property
+    def _lexmin(self) -> int:
+        return self.vertices.index(min(self.vertices))
 
     @cached_property
     def is_set_convex(self) -> bool:
@@ -60,13 +88,28 @@ class Polygon:
     @cached_property
     def is_convex_ccw(self) -> bool:
         """Set-convex, simple, and listed in the counterclockwise boundary
-        order, i.e. the vertex sequence is a rotation of the hull sequence."""
-        if not self.is_set_convex:
-            return False
-        start = self.vertices.index(self.hull[0])
-        return all(
-            self.vertex(start + k) == self.hull[k] for k in range(self.n)
-        )
+        order, i.e. the vertex sequence is a rotation of the hull sequence.
+
+        Exact in O(n) with no hull: every turn (v[k-2], v[k-1], v[k]) is
+        strictly left, and the lexicographic direction of the edges flips
+        exactly twice round the polygon, so they wind once (Schorn and
+        Fisher, "Testing the convexity of a polygon", Graphics Gems IV).
+        """
+        ts = self.triples
+
+        def rising(a: Triple, b: Triple) -> bool:
+            d = b[0] * a[2] - a[0] * b[2]
+            return d > 0 if d else b[1] * a[2] > a[1] * b[2]
+
+        a, b = ts[-2], ts[-1]
+        up, flips = rising(a, b), 0
+        for c in ts:
+            if _det(a, b, c) <= 0:
+                return False
+            a, b, was = b, c, up
+            up = rising(a, b)
+            flips += up != was
+        return flips == 2
 
     @cached_property
     def is_collinear(self) -> bool:
@@ -123,12 +166,13 @@ def canonicalize_ccw(P: Polygon) -> tuple[Polygon, tuple[int, ...]] | None:
 
     Returns (Q, sigma) with Q.vertices[k] == P.vertices[sigma[k]], or None
     when P is not set-convex.  The rotation is canonical (hull order starts
-    at the lexicographic minimum), so results are reproducible.
+    at the lexicographic minimum), so results are reproducible; Q is P
+    itself when P is already in that order.
     """
     if not P.is_set_convex:
         return None
     sigma = tuple(P.vertices.index(h) for h in P.hull)
-    return Polygon(P.hull), sigma
+    return (P if P.hull == P.vertices else Polygon(P.hull)), sigma
 
 
 @dataclass(frozen=True)

@@ -2,22 +2,23 @@
 and the broken line construction.
 
 Every evaluation of the map runs in a homogeneous integer frame: each
-vertex of P and of the hull of Pp is the triple (x*w, y*w, w), with w the
-lcm of that vertex's own two denominators.  The foot (edge, t) on the edge
-a -> b with t = p/q is the frame point ((q-p)*b_w*a + p*a_w*b, q*a_w*b_w),
-so every orientation test is one determinant of three frame points and
-the image parameter is the quotient of two: a step realizes no point and
-builds one Fraction, and in a run walks on from the step before.  The
-clockwise map is the counterclockwise one in the mirrored frame, the same
-triples reflected (y -> -y) and reversed.
+vertex of P and of the hull of Pp is the triple (x*w, y*w, w) of
+`Polygon.triples`, with w the lcm of that vertex's own two denominators,
+built once per polygon and shared by every run on it.  The foot (edge, t)
+on the edge a -> b with t = p/q is the frame point
+((q-p)*b_w*a + p*a_w*b, q*a_w*b_w), so every orientation test is one
+determinant of three frame points and the image parameter is the quotient
+of two: a step realizes no point and builds one Fraction, and in a run
+walks on from the step before.  The clockwise map is the counterclockwise
+one in the mirrored frame, the same triples reflected (y -> -y) and
+reversed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
-from .geometry import Point, Rat, segment_contains
+from .geometry import Point, Rat, _det, segment_contains
 from .polygon import (
     BoundaryPoint,
     InvariantError,
@@ -60,12 +61,12 @@ def _on_boundary(P: Polygon, x: BoundaryPoint | Point, what: str) -> BoundaryPoi
 class _Frame:
     """P's vertices and Pp's hull as homogeneous triples, for one run's steps.
 
-    Counterclockwise, vertex (x, y) is (x*w, y*w, w), with w > 0 the lcm of
-    its own two denominators.  Clockwise, the triples are reflected
-    (y -> -y) and reversed, so frame vertex k is vertex n-1-k of P, both
-    stay counterclockwise, and the clockwise map is the counterclockwise
-    step of this frame; this class alone maps clockwise indices.  pts holds
-    the hull's own points in frame order, for the pivots.
+    Counterclockwise, the frame is the polygons' own tables, `P.triples`
+    and `Pp.hull_triples`, built once per polygon.  Clockwise, the triples
+    are reflected (y -> -y) and reversed, so frame vertex k is vertex
+    n-1-k of P, both stay counterclockwise, and the clockwise map is the
+    counterclockwise step of this frame; this class alone maps clockwise
+    indices.  pts holds the hull's own points in frame order, for the pivots.
     """
 
     __slots__ = ("P", "ccw", "vs", "hull", "pts")
@@ -74,17 +75,12 @@ class _Frame:
         pts = Pp.hull
         if len(pts) < 3:
             raise ValueError("inner polygon is collinear")
-
-        def triple(v: Point) -> tuple[int, int, int]:
-            w = lcm(v.x.denominator, v.y.denominator)
-            return v.x.numerator * (w // v.x.denominator), v.y.numerator * (w // v.y.denominator), w
-
-        vs, hull = [triple(v) for v in P.vertices], [triple(v) for v in pts]
+        vs, hull = P.triples, Pp.hull_triples
         if not ccw:
-            vs = [(x, -y, w) for x, y, w in reversed(vs)]
-            hull, pts = [(x, -y, w) for x, y, w in reversed(hull)], pts[::-1]
+            vs = tuple((x, -y, w) for x, y, w in reversed(vs))
+            hull, pts = tuple((x, -y, w) for x, y, w in reversed(hull)), pts[::-1]
         self.P, self.ccw = P, ccw
-        self.vs, self.hull, self.pts = tuple(vs), tuple(hull), tuple(pts)
+        self.vs, self.hull, self.pts = vs, hull, pts
 
     def foot(self, bp: BoundaryPoint) -> tuple[int, Rat]:
         """A boundary point of P as an (edge, t) pair of the frame."""
@@ -101,14 +97,6 @@ class _Frame:
         if self.ccw:
             return BoundaryPoint(self.P, e, t)
         return BoundaryPoint(self.P, -2 - e, 1 - t)
-
-
-def _det(f, u, v) -> int:
-    """W*u_w*v_w times orient(f, u, v), for frame points (the foot among
-    them) given as homogeneous integer triples (X, Y, W) with W > 0."""
-    X, Y, W = f
-    return (X * (u[1] * v[2] - v[1] * u[2]) - Y * (u[0] * v[2] - v[0] * u[2])
-            + W * (u[0] * v[1] - u[1] * v[0]))
 
 
 def _side(f, u, v) -> int:

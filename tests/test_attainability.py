@@ -1,10 +1,14 @@
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from polyattain import geometry
 from polyattain.attainability import (
     ATTAINABLE_DEGENERATE,
     ATTAINABLE_VESTIBULE,
+    NOT_CONVEX,
     UNATTAINABLE,
     UNKNOWN_N3,
     decide,
@@ -100,6 +104,25 @@ class TestDecide:
         v = decide(square, Pp)
         assert v.status == UNATTAINABLE
         assert len(v.audit) == 8  # 2n neighbor push-outs, all rejected
+
+    @pytest.mark.parametrize("order", ["clockwise", "swapped"])
+    def test_target_out_of_ccw_order_is_rejected_unpushed(self, order):
+        """A set-convex target listed clockwise, or with two vertices
+        swapped, is non-degenerate, so it reaches the push-out search, and
+        every pushed polygon is out of order too: each of the 2n records
+        says so and holds no run."""
+        P = polygon([(0, 10), (-9, 3), (-6, -8), (6, -8), (9, 3)])
+        vs = shrink_rotate(P, 99, 100).vertices
+        Pp = Polygon(vs[::-1] if order == "clockwise" else (vs[1], vs[0]) + vs[2:])
+        assert Pp.is_set_convex and not Pp.is_convex_ccw
+        v = decide(P, Pp)
+        assert v.status == UNATTAINABLE and v.certificate is None
+        assert [(r.vertex, r.pusher) for r in v.audit] == [
+            (i, (i + d) % 5) for i in range(5) for d in (-1, 1)
+        ]
+        for r in v.audit:
+            assert r.why == NOT_CONVEX and r.failed_runs == ()
+            assert P.locate_boundary(r.landing) is not None
 
     def test_unknown_n3(self):
         T = polygon([(0, 0), (6, 0), (0, 6)])
@@ -212,3 +235,47 @@ def test_verdict_invariant_under_symmetries(name, square):
         assert decide(sym(P), sym(Pp)).status == status, (P, Pp)
         seen.add(status)
     assert seen == {ATTAINABLE_DEGENERATE, ATTAINABLE_VESTIBULE, UNATTAINABLE, UNKNOWN_N3}
+
+
+def counting(counter, key, fn):
+    def wrapper(*args, **kwargs):
+        counter[key] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_push_out_search_builds_no_hull_and_each_table_once(monkeypatch):
+    """An Unattainable simultaneous pull at n = 8, all 2n push-outs tried:
+    with P and Pp convex CCW no `convex_hull` runs, and every polygon's
+    integer vertex table is built once, however many runs read it."""
+    # Listed from its lexicographic minimum, so P is its own canonical form.
+    P = polygon([(0, 2), (2, 0), (4, 0), (6, 2), (6, 4), (4, 6), (2, 6), (0, 4)])
+    n, c = P.n, pt(3, 3)
+    pulled = [a + (b - a).scale(Fraction(3, 4)) for a, b in map(P.edge, range(n))]
+    Pp = Polygon(tuple(c + (q - c).scale(1 - Fraction(1, n * n)) for q in pulled))
+    hulls, tables = Counter(), Counter()
+    hull, build = geometry.convex_hull, geometry.homogeneous
+
+    def counted_hull(points):
+        hulls[tuple(points)] += 1
+        return hull(points)
+
+    def counted_build(points):
+        tables[tuple(points)] += 1
+        return build(points)
+
+    for name, module in list(sys.modules.items()):
+        for attr, fake in (("convex_hull", counted_hull), ("homogeneous", counted_build)):
+            if name.startswith("polyattain") and hasattr(module, attr):
+                monkeypatch.setattr(module, attr, fake)
+    runs = Counter()
+    monkeypatch.setattr("polyattain.degeneracy.blc", counting(runs, "scan", blc))
+    monkeypatch.setattr("polyattain.attainability.blc", counting(runs, "search", blc))
+    v = decide(P, Pp)
+    assert v.status == UNATTAINABLE and len(v.audit) == 2 * n
+    assert runs["scan"] >= n and runs["search"] == 2 * n
+    assert not hulls
+    pushed = {Pp.replace(r.vertex, r.landing).vertices for r in v.audit}
+    assert len(pushed) == 2 * n
+    assert tables == Counter({P.vertices: 1, Pp.vertices: 1} | dict.fromkeys(pushed, 1))

@@ -1,8 +1,10 @@
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from polyattain.geometry import Point, cross, pt
+from polyattain.geometry import Point, convex_hull, cross, pt
 from polyattain.polygon import (
     BoundaryPoint,
     Polygon,
@@ -65,6 +67,12 @@ def test_is_convex_ccw(square):
     assert square.is_convex_ccw
     assert not Polygon(tuple(reversed(square.vertices))).is_convex_ccw
     assert not polygon([(0, 0), (1, 1), (1, 0), (0, 1)]).is_convex_ccw  # bowtie
+    assert polygon([(0, 0), (1, 0), (0, 1)]).is_convex_ccw
+    assert not polygon([(0, 0), (0, 1), (1, 0)]).is_convex_ccw
+    assert not polygon([(0, 0), (1, 1), (2, 2)]).is_convex_ccw
+    assert not polygon([(0, 0), (1, 0), (2, 0), (1, 1)]).is_convex_ccw  # collinear run
+    assert not polygon([(0, 0), (1, 0), (1, 0), (0, 1)]).is_convex_ccw  # repeated vertex
+    assert not polygon([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)]).is_convex_ccw
 
 
 def test_is_convex_ccw_rejects_star_order():
@@ -74,6 +82,68 @@ def test_is_convex_ccw_rejects_star_order():
     star = Polygon(tuple(pent.vertices[k] for k in (0, 2, 4, 1, 3)))
     assert star.is_set_convex
     assert not star.is_convex_ccw
+    # a heptagon wound three times: every turn left, the edges wind thrice
+    hept = polygon([(3, 0), (2, 2), (0, 3), (-2, 2), (-3, 0), (-2, -3), (2, -3)])
+    assert hept.is_convex_ccw
+    assert not Polygon(tuple(hept.vertices[3 * k % 7] for k in range(7))).is_convex_ccw
+
+
+def _hull_oracle(Q: Polygon) -> tuple[bool, tuple[Point, ...]]:
+    """The hull-based definitions of `is_convex_ccw` and `hull`: the
+    vertices are distinct and a rotation of `convex_hull`'s output."""
+    hull = tuple(convex_hull(list(Q.vertices)))
+    if len(set(Q.vertices)) != Q.n or len(hull) != Q.n:
+        return False, hull
+    start = Q.vertices.index(hull[0])
+    return all(Q.vertex(start + k) == hull[k] for k in range(Q.n)), hull
+
+
+def _convexity_cases(rng):
+    """Polygons on a small grid, where repeats and collinear runs are
+    common: a convex hull rotated, clockwise, wound two or three times,
+    with a vertex repeated, an edge midpoint inserted or two vertices
+    swapped; and plain random point lists, n = 3 among them."""
+    while True:
+        pts = [pt(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(3, 9))]
+        yield "random", pts
+        hull = convex_hull(pts)
+        m = len(hull)
+        if m < 3:
+            continue
+        k = rng.randrange(m)
+        ccw = hull[k:] + hull[:k]
+        yield "ccw", ccw
+        yield "cw", ccw[::-1]
+        for step in (2, 3):
+            if m > 2 * step and gcd(step, m) == 1:
+                star = [ccw[step * j % m] for j in range(m)]
+                yield "wound", rng.choice((star, star[::-1]))
+        j = rng.randrange(m)
+        yield "repeated", ccw[:j] + [ccw[j]] + ccw[j:]
+        a, b = ccw[j], ccw[(j + 1) % m]
+        yield "collinear", ccw[:j + 1] + [a + (b - a).scale(Fraction(1, 2))] + ccw[j + 1:]
+        i = rng.randrange(m)
+        swapped = list(ccw)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        yield "swapped", swapped
+
+
+def test_is_convex_ccw_matches_the_hull_definition():
+    """The O(n) turn-and-winding test and the hull it gives a convex CCW
+    polygon agree with the hull-based definition on every kind of input."""
+    rng = rng_for("convexity-oracle")
+    seen = Counter()
+    cases = _convexity_cases(rng)
+    for _ in range(6000):
+        kind, vs = next(cases)
+        Q = Polygon(tuple(vs))
+        want, hull = _hull_oracle(Q)
+        assert Q.is_convex_ccw == want, (kind, Q)
+        assert Q.hull == hull, (kind, Q)
+        seen[kind, want] += 1
+    assert seen["ccw", True] > 500 and seen["random", True] > 0
+    assert {k for k, ok in seen if ok} == {"ccw", "random", "swapped"}
+    assert {k for k, ok in seen if not ok} == {"cw", "wound", "repeated", "collinear", "swapped", "random"}
 
 
 def test_canonicalize_ccw(square):
