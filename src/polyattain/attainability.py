@@ -143,7 +143,8 @@ def decide(P: Polygon, Pp: Polygon, plan_moves: bool = False) -> Verdict:
     Degenerate containment is attainable outright; otherwise the polygon is
     attainable if and only if it passes the vestibule search, except that a
     failed search with n = 3 is reported as unknown rather than negative.
-    A Pp outside co(P) is a ValueError, raised by `is_degenerate`.
+    A Pp with another vertex count than P, or outside co(P), is a
+    ValueError, raised by `is_degenerate`.
     """
     dv = is_degenerate(P, Pp)
     if dv.degenerate:

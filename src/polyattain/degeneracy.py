@@ -74,7 +74,11 @@ def is_degenerate(P: Polygon, Pp: Polygon) -> DegeneracyVerdict:
 
     For n = 3 degeneracy is equivalent to collinearity of the inner
     polygon, so step (2) decides and no witness polygon is emitted.
+    A Pp with another vertex count than P, or outside co(P), is a
+    ValueError.
     """
+    if P.n != Pp.n:
+        raise ValueError("vertex count mismatch")
     if not co_contains(P, Pp):
         raise ValueError("containment violated")
     n = P.n

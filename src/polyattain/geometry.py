@@ -1,11 +1,13 @@
 """Exact rational planar kernel: points, segments and convex hulls.
 
 Every predicate and construction here is exact; all scalars are
-``fractions.Fraction`` and no tolerances exist anywhere.  The hot
-predicates ``orient`` and ``forward_sign`` work on numerators and
-denominators as plain integers, so they build no Fraction and take no gcd.
-A polygon's vertices are also kept as homogeneous integer triples
-(`homogeneous`), on which an orientation is one determinant (`_det`).
+``fractions.Fraction`` and no tolerances exist anywhere.  The predicates
+work on points as homogeneous integer triples (x*w, y*w, w) (`_triple`):
+an orientation is the sign of one determinant (`_side` of `_det`), a
+direction sign one dot product (`_forward`), and a crossing the quotient
+of two determinants (`_crossing`).  `orient` and `forward_sign` apply them
+to three points; a polygon keeps its vertex table (`homogeneous`), so its
+queries convert only the query point.
 """
 
 from __future__ import annotations
@@ -52,49 +54,22 @@ def cross(u: Point, v: Point) -> Rat:
     return u.x * v.y - u.y * v.x
 
 
-def orient(a: Point, b: Point, c: Point) -> int:
-    """Sign of the determinant |b-a, c-a|: +1 if c is strictly left of the
-    directed line through a and b, 0 if collinear, -1 if strictly right."""
-    (axn, axd), (ayn, ayd) = a.x.as_integer_ratio(), a.y.as_integer_ratio()
-    (bxn, bxd), (byn, byd) = b.x.as_integer_ratio(), b.y.as_integer_ratio()
-    (cxn, cxd), (cyn, cyd) = c.x.as_integer_ratio(), c.y.as_integer_ratio()
-    # With positive denominators: (b-a).x = p1/(bxd*axd), (c-a).y = p2/(cyd*ayd),
-    # (b-a).y = p3/(byd*ayd), (c-a).x = p4/(cxd*axd).
-    p1 = bxn * axd - axn * bxd
-    p2 = cyn * ayd - ayn * cyd
-    p3 = byn * ayd - ayn * byd
-    p4 = cxn * axd - axn * cxd
-    # The determinant times the positive bxd*byd*cxd*cyd*axd*ayd.
-    d = p1 * p2 * byd * cxd - p3 * p4 * bxd * cyd
-    return (d > 0) - (d < 0)
-
-
-def forward_sign(a: Point, b: Point, c: Point) -> int:
-    """Sign of (b-a).(c-a); positive when c is on b's side of a."""
-    (axn, axd), (ayn, ayd) = a.x.as_integer_ratio(), a.y.as_integer_ratio()
-    (bxn, bxd), (byn, byd) = b.x.as_integer_ratio(), b.y.as_integer_ratio()
-    (cxn, cxd), (cyn, cyd) = c.x.as_integer_ratio(), c.y.as_integer_ratio()
-    p1 = bxn * axd - axn * bxd  # the same differences as in orient
-    p2 = cyn * ayd - ayn * cyd
-    p3 = byn * ayd - ayn * byd
-    p4 = cxn * axd - axn * cxd
-    # The dot product times the positive bxd*cxd*axd^2 * byd*cyd*ayd^2.
-    d = p1 * p4 * byd * ayd * cyd * ayd + p3 * p2 * bxd * axd * cxd * axd
-    return (d > 0) - (d < 0)
-
-
 Triple = tuple[int, int, int]
 
 
+def _triple(v: Point) -> Triple:
+    """The point (x, y) as the integer triple (x*w, y*w, w), with w > 0 the
+    lcm of its own two denominators."""
+    (xn, xd), (yn, yd) = v.x.as_integer_ratio(), v.y.as_integer_ratio()
+    if xd == yd:
+        return xn, yn, xd
+    w = lcm(xd, yd)
+    return xn * (w // xd), yn * (w // yd), w
+
+
 def homogeneous(points) -> tuple[Triple, ...]:
-    """Each point (x, y) as the integer triple (x*w, y*w, w), with w > 0 the
-    lcm of that point's own two denominators."""
-    out = []
-    for v in points:
-        xd, yd = v.x.denominator, v.y.denominator
-        w = lcm(xd, yd)
-        out.append((v.x.numerator * (w // xd), v.y.numerator * (w // yd), w))
-    return tuple(out)
+    """A polygon's vertex table: the `_triple` of each point."""
+    return tuple(map(_triple, points))
 
 
 def _det(f: Triple, u: Triple, v: Triple) -> int:
@@ -103,6 +78,51 @@ def _det(f: Triple, u: Triple, v: Triple) -> int:
     X, Y, W = f
     return (X * (u[1] * v[2] - v[1] * u[2]) - Y * (u[0] * v[2] - v[0] * u[2])
             + W * (u[0] * v[1] - u[1] * v[0]))
+
+
+def _side(f: Triple, u: Triple, v: Triple) -> int:
+    """orient on triples: +1 if v is strictly left of the line from f to
+    u, 0 if collinear, -1 if strictly right."""
+    return ((d := _det(f, u, v)) > 0) - (d < 0)
+
+
+def _forward(f: Triple, u: Triple, v: Triple) -> int:
+    """forward_sign on triples: the sign of (u - f).(v - f)."""
+    X, Y, W = f
+    d = ((W * u[0] - X * u[2]) * (W * v[0] - X * v[2])
+         + (W * u[1] - Y * u[2]) * (W * v[1] - Y * v[2]))
+    return (d > 0) - (d < 0)
+
+
+def _at(f: Triple, u: Triple) -> bool:
+    """f and u are the same point."""
+    X, Y, W = f
+    return u[0] * W == X * u[2] and u[1] * W == Y * u[2]
+
+
+def _on_segment(a: Triple, b: Triple, f: Triple) -> bool:
+    """f lies in the closed segment [a, b]: on its line, and (a-f).(b-f)
+    <= 0, which leaves only f == a when a == b."""
+    return not _det(a, b, f) and _forward(f, a, b) <= 0
+
+
+def _crossing(f: Triple, g: Triple, a: Triple, b: Triple) -> Rat:
+    """The s with a + s(b - a) on the line f-g, which must cross line a-b:
+    the signed area of (f, g, .) is affine along a-b, and `_det` of a or b
+    is it times f_w*g_w and that point's own w."""
+    da, db = b[2] * _det(f, g, a), a[2] * _det(f, g, b)
+    return Rat(da, da - db)
+
+
+def orient(a: Point, b: Point, c: Point) -> int:
+    """Sign of the determinant |b-a, c-a|: +1 if c is strictly left of the
+    directed line through a and b, 0 if collinear, -1 if strictly right."""
+    return _side(_triple(a), _triple(b), _triple(c))
+
+
+def forward_sign(a: Point, b: Point, c: Point) -> int:
+    """Sign of (b-a).(c-a); positive when c is on b's side of a."""
+    return _forward(_triple(a), _triple(b), _triple(c))
 
 
 def convex_hull(points: list[Point]) -> list[Point]:
@@ -147,17 +167,12 @@ def collinear_points(points: list[Point]) -> bool:
 
 def segment_contains(a: Point, b: Point, q: Point) -> bool:
     """Exact test for q in the closed segment [a, b]."""
-    if orient(a, b, q) != 0:  # never when a == b
-        return False
-    if a == b:
-        return q == a
-    # Collinear: q between a and b iff (q-a).(q-b) <= 0.
-    return forward_sign(q, a, b) <= 0
+    return _on_segment(_triple(a), _triple(b), _triple(q))
 
 
 def segment_param(a: Point, b: Point, q: Point) -> Rat | None:
     """Parameter t with q = (1-t)a + t b, or None if q is off the line a-b."""
-    if orient(a, b, q) != 0:  # never when a == b
+    if _det(_triple(a), _triple(b), _triple(q)):  # never when a == b
         return None
     if a == b:
         return Rat(0) if q == a else None

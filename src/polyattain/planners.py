@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .degeneracy import certify_witness
-from .geometry import Point, Rat, cross, segment_contains, segment_param
+from .geometry import Point, Rat, _crossing, _side, _triple, segment_contains, segment_param
 from .moves import (
     MoveScript,
     PullIn,
@@ -121,13 +121,12 @@ def _inscribe_onto(rec: _PushRecorder, Q: Polygon) -> None:
     """Push every vertex onto the boundary of Q: vertex 0 pushes the others,
     then is pushed out itself by vertex 1."""
     n = rec.current.n
-    off = lambda p: not any(segment_contains(*Q.edge(i), p) for i in range(Q.n))
     for k in range(1, n):
         cur = rec.current
-        if off(cur.vertices[k]):
+        if not Q.edges_at(cur.vertices[k]):
             rec.push(k, 0, _push_landing(Q, cur.vertices[0], cur.vertices[k]))
     cur = rec.current
-    if off(cur.vertices[0]):
+    if not Q.edges_at(cur.vertices[0]):
         rec.push(0, 1, _push_landing(Q, cur.vertices[1], cur.vertices[0]))
 
 
@@ -461,13 +460,14 @@ def _plan_triangle(P: Polygon, Pp: Polygon) -> MoveScript:
     if a == b:
         b = next(v for v in P.vertices if v != a)
     cur = list(P.vertices)
-    side = [cross(b - a, v - a) for v in cur]  # signed, 0 on L
+    f, g = _triple(a), _triple(b)
+    side = [_side(f, g, _triple(v)) for v in cur]  # 0 on L
     alone = lambda k: sum(s * side[k] > 0 for s in side) == 1
     moves: list[PullIn] = []
     for k in sorted((k for k in range(3) if side[k]), key=alone):
         beyond = [j for j in range(3) if side[j] * side[k] < 0]
         j = beyond[0] if beyond else side.index(0)
-        c = side[k] / (side[k] - side[j])  # 1 when j is on L
+        c = _crossing(f, g, _triple(cur[k]), _triple(cur[j]))  # 1 when j is on L
         moves.append(PullIn(k, j, c))
         cur[k] = cur[k] + (cur[j] - cur[k]).scale(c)
         side[k] = 0

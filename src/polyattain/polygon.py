@@ -9,14 +9,15 @@ from .geometry import (
     Point,
     Rat,
     Triple,
+    _crossing,
     _det,
+    _on_segment,
+    _side,
+    _triple,
     collinear_points,
     convex_hull,
-    cross,
     homogeneous,
-    orient,
     pt,
-    segment_contains,
     segment_param,
 )
 
@@ -52,8 +53,8 @@ class Polygon:
     @cached_property
     def triples(self) -> tuple[Triple, ...]:
         """The vertices as homogeneous integer triples (x*w, y*w, w), built
-        once per polygon; the convexity test and every broken-line frame on
-        this polygon read them."""
+        once per polygon; the convexity test, the boundary queries and
+        every broken-line frame on this polygon read them."""
         return homogeneous(self.vertices)
 
     @cached_property
@@ -123,19 +124,17 @@ class Polygon:
     def locate_boundary(self, p: Point) -> "BoundaryPoint | None":
         """Address a point on the boundary as a canonical BoundaryPoint.
 
-        Scans all n edges; a vertex is reported on its own edge with t = 0.
-        Returns None when p is not on the boundary.
+        The first closed edge that holds p, with p's parameter on it; a
+        vertex is reported on its own edge with t = 0.  Returns None when p
+        is not on the boundary.
         """
-        for i in range(self.n):
-            a, b = self.edge(i)
-            t = segment_param(a, b, p)
-            if t is not None and 0 <= t < 1:
-                return BoundaryPoint(self, i, t)
-        return None
+        e = self.edges_at(p)
+        return BoundaryPoint(self, e[0], segment_param(*self.edge(e[0]), p)) if e else None
 
     def edges_at(self, p: Point) -> list[int]:
         """Indices of the closed edges that contain p, in index order."""
-        return [i for i in range(self.n) if segment_contains(*self.edge(i), p)]
+        f, ts, n = _triple(p), self.triples, self.n
+        return [i for i in range(n) if _on_segment(ts[i], ts[(i + 1) % n], f)]
 
     def __repr__(self) -> str:
         return "Polygon[" + ", ".join(map(repr, self.vertices)) + "]"
@@ -146,19 +145,14 @@ def polygon(coords) -> Polygon:
 
 
 def co_contains(outer: Polygon, inner: Polygon) -> bool:
-    """The containment preorder: every vertex of inner lies in co(outer)."""
-    hull = outer.hull
+    """The containment preorder: every vertex of inner lies in co(outer),
+    one determinant per vertex and edge of the hull's table."""
+    hull, fs = outer.hull_triples, [_triple(v) for v in inner.vertices]
     if len(hull) == 1:
-        return all(v == hull[0] for v in inner.vertices)
+        return all(f == hull[0] for f in fs)
     if len(hull) == 2:
-        a, b = hull
-        return all(segment_contains(a, b, v) for v in inner.vertices)
-    m = len(hull)
-    for v in inner.vertices:
-        for k in range(m):
-            if orient(hull[k], hull[(k + 1) % m], v) < 0:
-                return False
-    return True
+        return all(_on_segment(*hull, f) for f in fs)
+    return all(_det(hull[k - 1], hull[k], f) >= 0 for f in fs for k in range(len(hull)))
 
 
 def canonicalize_ccw(P: Polygon) -> tuple[Polygon, tuple[int, ...]] | None:
@@ -215,16 +209,16 @@ def ray_polygon_exit(P: Polygon, origin: Point, direction: Point) -> BoundaryPoi
 
     The origin must lie on the boundary or inside co(P), so the exit exists.
 
-    The exit edge is read off the sides of all n vertices relative to the
-    ray's line: it starts right of or on the line and ends left of or on
-    it, not both on it.  Strict convexity leaves one such point (a vertex on
-    the line may end one such edge and start the next).  One exact
-    intersection then gives the point.  The steps of the broken line find
-    their exits in `poncelet`, by bisection or by a walk from the foot.
+    The exit edge is read off the sides of all n vertices of P's table
+    relative to the ray's line: it starts right of or on the line and ends
+    left of or on it, not both on it.  Strict convexity leaves one such
+    edge (a vertex on the line may end one such edge and start the next),
+    and `_crossing` gives the point on it.  The steps of the broken line
+    exit from a foot in `poncelet._exit`, by bisection or by a walk.
     """
-    q = origin + direction
-    vs, n = P.vertices, P.n
-    sides = [orient(origin, q, v) for v in vs]
+    f, g = _triple(origin), _triple(origin + direction)
+    vs, n = P.triples, P.n
+    sides = [_side(f, g, v) for v in vs]
     for i in range(n):
         s0, s1 = sides[i], sides[(i + 1) % n]
         if s0 <= 0 <= s1 and (s0 or s1):
@@ -234,13 +228,13 @@ def ray_polygon_exit(P: Polygon, origin: Point, direction: Point) -> BoundaryPoi
     a, b = vs[i], vs[(i + 1) % n]
     # The ray crosses the edge's line outwards, so it meets the exit at
     # t >= 0 exactly when the origin is not strictly outside that line.
-    if orient(a, b, origin) < 0:
+    if _side(a, b, f) < 0:
         raise ValueError("ray does not meet the boundary")
     if s1 == 0:
         return BoundaryPoint(P, i + 1, 0)
     if s0 == 0:
         return BoundaryPoint(P, i, 0)
-    return BoundaryPoint(P, i, cross(origin - a, direction) / cross(b - a, direction))
+    return BoundaryPoint(P, i, _crossing(f, g, a, b))
 
 
 def arc_key(n: int, a: tuple[int, Rat], z: tuple[int, Rat]) -> tuple[int, Rat]:

@@ -6,19 +6,20 @@ vertex of P and of the hull of Pp is the triple (x*w, y*w, w) of
 `Polygon.triples`, with w the lcm of that vertex's own two denominators,
 built once per polygon and shared by every run on it.  The foot (edge, t)
 on the edge a -> b with t = p/q is the frame point
-((q-p)*b_w*a + p*a_w*b, q*a_w*b_w), so every orientation test is one
-determinant of three frame points and the image parameter is the quotient
-of two: a step realizes no point and builds one Fraction, and in a run
-walks on from the step before.  The clockwise map is the counterclockwise
-one in the mirrored frame, the same triples reflected (y -> -y) and
-reversed.
+((q-p)*b_w*a + p*a_w*b, q*a_w*b_w), so every test is one of the triple
+predicates of `geometry` (`_side`, `_forward`, `_at`) on frame points and
+the image parameter is their `_crossing`, a quotient of two determinants:
+a step realizes no point and builds one Fraction, and in a run walks on
+from the step before.  This module defines no predicate of its own.  The
+clockwise map is the counterclockwise one in the mirrored frame, the same
+triples reflected (y -> -y) and reversed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Point, Rat, _det, segment_contains
+from .geometry import Point, Rat, _at, _crossing, _det, _forward, _side
 from .polygon import (
     BoundaryPoint,
     InvariantError,
@@ -97,26 +98,6 @@ class _Frame:
         if self.ccw:
             return BoundaryPoint(self.P, e, t)
         return BoundaryPoint(self.P, -2 - e, 1 - t)
-
-
-def _side(f, u, v) -> int:
-    """orient(foot, u, v): +1 if v is strictly left of the line from the
-    foot to u, 0 if collinear, -1 if strictly right."""
-    return ((d := _det(f, u, v)) > 0) - (d < 0)
-
-
-def _forward(f, u, v) -> int:
-    """forward_sign(foot, u, v): the sign of (u - foot).(v - foot)."""
-    X, Y, W = f
-    d = ((W * u[0] - X * u[2]) * (W * v[0] - X * v[2])
-         + (W * u[1] - Y * u[2]) * (W * v[1] - Y * v[2]))
-    return (d > 0) - (d < 0)
-
-
-def _at(f, u) -> bool:
-    """The foot is the point u."""
-    X, Y, W = f
-    return u[0] * W == X * u[2] and u[1] * W == Y * u[2]
 
 
 def _later(f, b, p, q) -> int:
@@ -207,10 +188,7 @@ def _exit(vs, x, f, near, walk=False) -> tuple[int, Rat]:
         else:
             hi = mid
     i = (first + lo) % n
-    a, b = vs[i], vs[(i + 1) % n]
-    # a + s(b - a) on the line foot-near, as _det is orient times each point's w.
-    da, db = b[2] * _det(f, near, a), a[2] * _det(f, near, b)
-    return i, Rat(da, da - db)
+    return i, _crossing(f, near, vs[i], vs[(i + 1) % n])
 
 
 def _step(fr: _Frame, x: tuple[int, Rat], hint=None):
@@ -381,7 +359,7 @@ def gamma1_points(P: Polygon, Pp: Polygon) -> frozenset[BoundaryPoint]:
     m = len(hull)
     for k in range(m):
         v, succ = hull[k], hull[(k + 1) % m]
-        if any(segment_contains(*P.edge(i), succ) for i in P.edges_at(v)):
+        if set(P.edges_at(v)).intersection(P.edges_at(succ)):
             continue
         landing = ray_polygon_exit(P, succ, v - succ)
         if _step(fr, fr.foot(landing))[1] == INTERIOR:

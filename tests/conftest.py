@@ -1,15 +1,23 @@
 import random
 import zlib
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
 
+from polyattain.gen import random_convex_polygon
+from polyattain.geometry import Point
 from polyattain.moves import elementary_matrix, identity_matrix, is_stochastic, mat_mul
-from polyattain.polygon import polygon
+from polyattain.polygon import Polygon, polygon
 
 # The same examples on every run, and no example database on disk.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+# Targets inside the unit square with another vertex count than it.
+PENTAGON_IN_SQUARE = polygon([("1/4", "1/4"), ("3/4", "1/4"), ("3/4", "1/2"), ("1/2", "3/4"), ("1/4", "1/2")])
+TRIANGLE_IN_SQUARE = polygon([("1/4", "1/4"), ("3/4", "1/4"), ("1/2", "3/4")])
 
 
 @pytest.fixture
@@ -31,6 +39,15 @@ def pushed_square():
 @pytest.fixture
 def corner_quad():
     return polygon([("1/4", "1/4"), ("1/2", "1/4"), ("1/2", "1/2"), ("1/4", "1/2")])
+
+
+def rational_polygon(rng, n: int) -> Polygon:
+    """A random convex CCW n-gon, moved by a rational shift and scale so
+    that coordinates carry denominators."""
+    P = random_convex_polygon(rng, n)
+    k = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    dx, dy = Fraction(rng.randint(-9, 9), rng.randint(1, 7)), Fraction(rng.randint(-9, 9), 5)
+    return Polygon(tuple(Point(v.x * k + dx, v.y * k + dy) for v in P.vertices))
 
 
 def rng_for(name: str) -> random.Random:

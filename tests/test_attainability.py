@@ -21,7 +21,7 @@ from polyattain.moves import replay, verify_script
 from polyattain.polygon import Polygon, co_contains, polygon
 from polyattain.poncelet import blc
 
-from conftest import rng_for
+from conftest import PENTAGON_IN_SQUARE, TRIANGLE_IN_SQUARE, rng_for
 
 
 def shrink_rotate(P, num, den, rot=0):
@@ -131,8 +131,15 @@ class TestDecide:
         assert v.status == UNKNOWN_N3
 
     def test_containment_precondition(self, square):
+        """A target outside co(P), or inside it with another vertex count,
+        is a ValueError, with or without a plan."""
         with pytest.raises(ValueError):
             decide(square, polygon([(0, 0), (2, 0), (0, 2), (1, 1)]))
+        for Pp in (PENTAGON_IN_SQUARE, TRIANGLE_IN_SQUARE):
+            with pytest.raises(ValueError, match="vertex count mismatch"):
+                decide(square, Pp)
+            with pytest.raises(ValueError, match="vertex count mismatch"):
+                decide(square, Pp, plan_moves=True)
 
     def test_canonicalization_maps_plan_back(self, square, inner_square):
         """A shuffled outer polygon still yields a verifying script on the

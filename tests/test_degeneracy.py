@@ -26,7 +26,7 @@ from polyattain.gen import (
     random_inner,
 )
 
-from conftest import rng_for
+from conftest import PENTAGON_IN_SQUARE, TRIANGLE_IN_SQUARE, rng_for
 
 
 def test_corner_quad_is_degenerate(square, corner_quad):
@@ -69,6 +69,9 @@ def test_triangle_special_case():
 def test_containment_precondition(square):
     with pytest.raises(ValueError):
         is_degenerate(square, polygon([(0, 0), (3, 0), (0, 3)]))
+    for Pp in (PENTAGON_IN_SQUARE, TRIANGLE_IN_SQUARE):
+        with pytest.raises(ValueError, match="vertex count mismatch"):
+            is_degenerate(square, Pp)
 
 
 def test_maximal_degenerate_examples(square):
@@ -207,7 +210,9 @@ def test_interpolant_bounds_blc_length():
 
 def test_maximal_degenerate_hulls_agree():
     """Any degenerate polygon squeezed above a maximal degenerate one has
-    the same hull."""
+    the same hull.  The maximal degenerate (n-1)-gon is padded to n
+    vertices by repeating its last one, which leaves its hull, and so the
+    degeneracy scan, as it was."""
     rng = rng_for("maximal-hulls")
     checked = 0
     while checked < 40:
@@ -219,7 +224,7 @@ def test_maximal_degenerate_hulls_agree():
         if not v.degenerate or v.witness is None:
             continue
         Q = maximal_degenerate_extend(v.witness, P if P.is_convex_ccw else Polygon(P.hull))
-        v2 = is_degenerate(P, Q)
+        v2 = is_degenerate(P, Polygon(Q.vertices + Q.vertices[-1:]))
         if v2.degenerate and v2.witness is not None:
             from polyattain.geometry import convex_hull
 

@@ -17,6 +17,10 @@ FILES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.p
 # Public names nothing else in src/ reads, and why each stays.
 KEPT = {
     "attainability.threshold_test": "acceptance criteria 1 and 9 test the threshold test alone",
+    "geometry.cross": "the Fraction oracle that tests/test_geometry.py checks orient against, and "
+    "that the exit and boundary-query oracles of tests/test_step_oracles.py and tests/test_polygon.py use",
+    "geometry.forward_sign": "perfbench/tracer.py counts its calls, and the tangent oracle of "
+    "tests/test_step_oracles.py orders pivots with it",
     "gen.random_boundary_point": "draws the boundary starts of acceptance criteria 2 to 5",
     "gen.random_interior_inner": "draws the all-interior inner polygons of acceptance criterion 3",
     "kernels.BACKEND": "perfbench/run.py records it and perfbench/compare.py checks it",

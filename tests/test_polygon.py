@@ -1,9 +1,12 @@
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from polyattain import geometry
+from polyattain.gen import random_convex_combination
 from polyattain.geometry import Point, convex_hull, cross, pt
 from polyattain.polygon import (
     BoundaryPoint,
@@ -16,7 +19,7 @@ from polyattain.polygon import (
     ray_polygon_exit,
 )
 
-from conftest import rng_for
+from conftest import rational_polygon, rng_for
 
 
 def test_co_contains_examples(square, inner_square):
@@ -213,6 +216,110 @@ def test_edges_at(square):
         centroid = sum(P.vertices[1:], P.vertices[0]).scale(Fraction(1, n))
         assert P.edges_at(centroid) == []
         assert P.edges_at(pt(9, 9)) == []
+
+
+def _dot(u: Point, v: Point):
+    return u.x * v.x + u.y * v.y
+
+
+def _co_member_oracle(vertices):
+    """Membership in the convex hull of the vertices, from Fraction cross
+    and dot products alone: p is on the inner side of every supporting
+    line through two vertices, and sees some two of them at an angle of at
+    least pi/2 (or is one), which puts it between the ends of a segment."""
+    pts = set(vertices)
+    pairs = [(a, b) for a in pts for b in pts if a != b]
+    support = [(a, b) for a, b in pairs if all(cross(b - a, v - a) >= 0 for v in pts)]
+    return lambda p: all(cross(b - a, p - a) >= 0 for a, b in support) and (
+        p in pts or any(_dot(a - p, b - p) <= 0 for a, b in pairs))
+
+
+def _query_points(rng, P: Polygon) -> list[Point]:
+    """Vertices, points inside edges, points on edge lines past either
+    end, interior points and points outside P."""
+    out = list(P.vertices)
+    for a, b in map(P.edge, range(P.n)):
+        r = Fraction(rng.randint(1, 15), 16)
+        out += [a + (b - a).scale(r), a + (b - a).scale(1 + r), a - (b - a).scale(r)]
+    c = random_convex_combination(rng, P)
+    out += [c] + [random_convex_combination(rng, P) for _ in range(3)]
+    out += [c + (v - c).scale(Fraction(rng.randint(17, 40), 16)) for v in P.vertices]
+    return out
+
+
+def test_boundary_queries_match_the_fraction_definitions():
+    """edges_at, locate_boundary and co_contains, which read the integer
+    vertex table, agree with their definitions in Fraction points: a closed
+    edge holds p when cross(b - a, p - a) == 0 and (a - p).(b - p) <= 0;
+    p's boundary address is its projection parameter on the first such
+    edge; and co_contains is `_co_member_oracle` at every inner vertex, for
+    convex outer polygons, non-convex ones and hulls of 1 and 2 points."""
+    rng = rng_for("boundary-query-oracle")
+    seen = Counter()
+    for _ in range(40):
+        P = rational_polygon(rng, rng.randint(3, 9))
+        points = _query_points(rng, P)
+        for p in points:
+            want = [i for i, (a, b) in enumerate(map(P.edge, range(P.n)))
+                    if cross(b - a, p - a) == 0 and _dot(a - p, b - p) <= 0]
+            assert P.edges_at(p) == want, (P, p)
+            bp = P.locate_boundary(p)
+            if not want:
+                assert bp is None
+                continue
+            a, b = P.edge(want[0])
+            t = _dot(p - a, b - a) / _dot(b - a, b - a)
+            assert (bp.edge, bp.t) == (((want[0] + 1) % P.n, 0) if t == 1 else (want[0], t)), (P, p)
+            seen["on boundary"] += 1
+        c = random_convex_combination(rng, P)
+        k = rng.randrange(P.n)
+        outers = {
+            "convex": P,
+            "reflex": P.replace(k, P.vertices[k] + (c - P.vertices[k]).scale(Fraction(3, 2))),
+            "shuffled": Polygon(tuple(rng.sample(P.vertices, P.n))),
+            "segment": Polygon((P.vertices[k], P.vertex(k + 1), P.vertices[k])),
+            "point": Polygon((P.vertices[k],) * 3),
+        }
+        for kind, O in outers.items():
+            member = _co_member_oracle(O.vertices)
+            inside = {p: member(p) for p in {*points, *O.vertices}}
+            inners = [Polygon((p, p, p)) for p in points]
+            inners += [Polygon(tuple(rng.sample(points, 3))) for _ in range(10)]
+            inners += [Polygon(tuple(rng.sample(O.vertices, 3))) for _ in range(3)]
+            for Q in inners:
+                want = all(inside[v] for v in Q.vertices)
+                assert co_contains(O, Q) == want, (O, Q)
+                seen[kind, want] += 1
+    assert seen["on boundary"] > 300
+    for kind in ("convex", "reflex", "shuffled", "segment", "point"):
+        assert seen[kind, True] >= 40 and seen[kind, False] >= 40, (kind, seen)
+
+
+def test_boundary_queries_make_no_point_orientation_tests(monkeypatch):
+    """On a convex polygon, co_contains, edges_at, locate_boundary and
+    ray_polygon_exit read the vertex table and make no orientation test of
+    Fraction points."""
+    orient, calls = geometry.orient, Counter()
+
+    def counted(a, b, c):
+        calls["orient"] += 1
+        return orient(a, b, c)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polyattain") and getattr(module, "orient", None) is orient:
+            monkeypatch.setattr(module, "orient", counted)
+    rng = rng_for("boundary-query-count")
+    P = rational_polygon(rng, 12)
+    c = random_convex_combination(rng, P)
+    Q = Polygon(tuple(c + (v - c).scale(Fraction(1, 2)) for v in P.vertices))
+    points = _query_points(rng, P)
+    assert co_contains(P, Q) and not co_contains(Q, P)
+    assert sum(map(bool, map(P.edges_at, points))) == 2 * P.n
+    assert sum(P.locate_boundary(p) is not None for p in points) == 2 * P.n
+    for v in P.vertices + Q.vertices:
+        if v != c:
+            ray_polygon_exit(P, c, v - c)
+    assert calls["orient"] == 0 and P.is_convex_ccw
 
 
 def test_arc_cmp_examples(square):

@@ -28,7 +28,7 @@ from polyattain.polygon import (
 )
 from polyattain.poncelet import BOUNDARY, INTERIOR, _Frame, blc, poncelet_cw, right_tangent
 
-from conftest import rng_for
+from conftest import rational_polygon, rng_for
 
 SIZES = list(range(3, 13)) + [16, 24, 32, 48]
 
@@ -85,15 +85,6 @@ def tangent_oracle(P: Polygon, Pp: Polygon, bp: BoundaryPoint):
     if orient(a, b, pivots[-1]) == 0:
         return pivots, BOUNDARY, BoundaryPoint(P, bp.edge + 1, 0)
     return pivots, INTERIOR, exit_oracle(P, xpt, best - xpt)
-
-
-def rational_polygon(rng, n: int) -> Polygon:
-    """A random convex CCW n-gon, moved by a rational shift and scale so
-    that coordinates carry denominators."""
-    P = random_convex_polygon(rng, n)
-    k = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-    dx, dy = Fraction(rng.randint(-9, 9), rng.randint(1, 7)), Fraction(rng.randint(-9, 9), 5)
-    return Polygon(tuple(Point(v.x * k + dx, v.y * k + dy) for v in P.vertices))
 
 
 def feet(rng, P: Polygon):
@@ -392,10 +383,10 @@ def test_run_steps_take_a_flat_number_of_determinants(monkeypatch):
     32, 64 and 128 each step makes at most 12 frame determinants on
     average, where bisecting every step makes about 21 at n = 32 and 28 at
     n = 128."""
-    from polyattain import poncelet
+    from polyattain import geometry, poncelet
 
     calls = Counter()
-    det, step = poncelet._det, poncelet._step
+    det, step = geometry._det, poncelet._step
 
     def counted_det(*args):
         calls["det"] += 1
@@ -405,7 +396,9 @@ def test_run_steps_take_a_flat_number_of_determinants(monkeypatch):
         calls["step"] += 1
         return step(*args)
 
+    # The step calls _det itself and through geometry's triple predicates.
     monkeypatch.setattr(poncelet, "_det", counted_det)
+    monkeypatch.setattr(geometry, "_det", counted_det)
     monkeypatch.setattr(poncelet, "_step", counted_step)
     rng = rng_for("run-cost")
     for n in (32, 64, 128):
@@ -423,11 +416,11 @@ def test_steps_take_logarithmic_orientation_tests(monkeypatch):
     """From a foot, the exit edge and the tangent vertex each cost O(log n)
     of the frame's orientation tests; a linear scan would make at least n.
     No test of Fraction points is made."""
-    from polyattain import geometry, polygon, poncelet
+    from polyattain import geometry, poncelet
 
     calls = Counter()
     phase = ["tangent"]
-    side, exit_ = poncelet._side, poncelet._exit
+    side, exit_, orient_ = poncelet._side, poncelet._exit, geometry.orient
 
     def counted_side(f, u, v):
         calls[phase[0]] += 1
@@ -442,11 +435,11 @@ def test_steps_take_logarithmic_orientation_tests(monkeypatch):
 
     def counted_orient(a, b, c):
         calls["points"] += 1
-        return geometry.orient(a, b, c)
+        return orient_(a, b, c)
 
     monkeypatch.setattr(poncelet, "_side", counted_side)
     monkeypatch.setattr(poncelet, "_exit", counted_exit)
-    monkeypatch.setattr(polygon, "orient", counted_orient)
+    monkeypatch.setattr(geometry, "orient", counted_orient)
     rng = rng_for("step-cost")
     n = 128
     P = random_convex_polygon(rng, n)
