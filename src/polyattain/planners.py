@@ -7,14 +7,26 @@ the requested target and its length is checked against the declared bound;
 a violation raises PlannerError instead of shipping a bad plan.  The
 maximal degenerate polygon that the degenerate plan passes through is
 built here too, from the same push-outs.
+
+The sweeps work on boundary addresses, not on point comparisons.  The
+inscription gives each slot its address (edge, t) on the convex host: the
+ray exit that pushed it, where `locate_boundary` found it, or, after the
+threshold chain, the broken-line point it was pushed onto.  An index
+keeps, per host vertex, the slots at it and, per host edge, the slots
+strictly inside it, each in slot order; every later push lands on a host
+vertex and moves one slot between two of these lists.  Strays, mates,
+double points and free vertices are read from the index, so a push costs
+O(n) work, and the permutation stage runs on host vertex indices.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
 
 from .degeneracy import certify_witness
-from .geometry import Point, Rat, _crossing, _side, _triple, segment_contains, segment_param
+from .geometry import Point, Rat, _crossing, _on_segment, _side, _triple, segment_param
 from .moves import (
     MoveScript,
     PullIn,
@@ -25,6 +37,7 @@ from .moves import (
     verify_script,
 )
 from .polygon import (
+    BoundaryPoint,
     InvariantError,
     Polygon,
     canonicalize_ccw,
@@ -95,131 +108,147 @@ class _PushRecorder:
         return MoveScript(self.current, tuple(moves))
 
 
-def _push_landing(P: Polygon, pusher: Point, mover: Point) -> Point:
+def _push_landing(P: Polygon, pusher: Point, mover: Point) -> BoundaryPoint:
     """Boundary landing of a push-out; a coincident pair pushes toward the
     first vertex of P that breaks the tie."""
     if pusher != mover:
-        return ray_polygon_exit(P, pusher, mover - pusher).realize()
+        return ray_polygon_exit(P, pusher, mover - pusher)
     for v in P.vertices:
         if v != mover:
-            return ray_polygon_exit(P, mover, v - mover).realize()
+            return ray_polygon_exit(P, mover, v - mover)
     raise InvariantError("outer polygon collapsed to a point")
 
 
-def _edge_push_target(a: Point, b: Point, pusher: Point, mover: Point) -> Point:
-    """Endpoint of [a, b] a stray mover is pushed to by a mate on the same
-    edge: away from the pusher, and counterclockwise-first on a tie."""
-    if pusher == mover:
-        return b
-    ta, tm = segment_param(a, b, pusher), segment_param(a, b, mover)
-    if ta is None or tm is None:
-        raise InvariantError("edge push with a point off the edge's line")
-    return b if ta <= tm else a
+class _Addresses:
+    """Boundary addresses (edge, t) of an inscribed polygon's slots on its
+    convex CCW host, 0 <= t < 1, t = 0 at vertex `edge`; `at[v]` lists the
+    slots at vertex v and `inside[e]` those strictly inside edge e, each in
+    slot order."""
+
+    def __init__(self, host: Polygon, where: list[BoundaryPoint]):
+        self.host = host
+        self.addr = [(b.edge, b.t) for b in where]
+        self.at: list[list[int]] = [[] for _ in range(host.n)]
+        self.inside: list[list[int]] = [[] for _ in range(host.n)]
+        for k, (e, t) in enumerate(self.addr):
+            (self.inside if t else self.at)[e].append(k)
+
+    def strays(self) -> list[int]:
+        """The slots not at a vertex of the host, in slot order."""
+        return [k for k, (_, t) in enumerate(self.addr) if t]
+
+    def push(self, rec: _PushRecorder, k: int, pusher: int, v: int) -> None:
+        """Push slot k onto vertex v of the host, and move its address."""
+        rec.push(k, pusher, self.host.vertices[v])
+        e, t = self.addr[k]
+        if (e, t) != (v, 0):
+            (self.inside if t else self.at)[e].remove(k)
+            insort(self.at[v], k)
+            self.addr[k] = (v, Rat(0))
 
 
-def _inscribe_onto(rec: _PushRecorder, Q: Polygon) -> None:
+def _inscribe_onto(
+    rec: _PushRecorder, Q: Polygon, where: list[BoundaryPoint] | None = None
+) -> _Addresses:
     """Push every vertex onto the boundary of Q: vertex 0 pushes the others,
-    then is pushed out itself by vertex 1."""
+    then is pushed out itself by vertex 1.  Each slot's address is the ray
+    exit that pushed it, or where `locate_boundary` found it, unless the
+    caller knows every slot's address on Q already (`where`)."""
     n = rec.current.n
-    for k in range(1, n):
-        cur = rec.current
-        if not Q.edges_at(cur.vertices[k]):
-            rec.push(k, 0, _push_landing(Q, cur.vertices[0], cur.vertices[k]))
-    cur = rec.current
-    if not Q.edges_at(cur.vertices[0]):
-        rec.push(0, 1, _push_landing(Q, cur.vertices[1], cur.vertices[0]))
+    where = where or [Q.locate_boundary(v) for v in rec.current.vertices]
+    for k in (*range(1, n), 0):
+        if where[k] is None:
+            cur = rec.current.vertices
+            where[k] = _push_landing(Q, cur[1 if k == 0 else 0], cur[k])
+            rec.push(k, 1 if k == 0 else 0, where[k].realize())
+    return _Addresses(Q, where)
 
 
-def _push_stray(rec: _PushRecorder, Q: Polygon, strays: list[int]) -> bool:
-    """Push the first stray that shares a closed edge of Q with another
-    vertex, its first such mate, to the end of that edge away from the mate.
-    False, and no push, when every stray is alone on its edges."""
-    cur = rec.current.vertices
+def _push_stray(rec: _PushRecorder, ix: _Addresses, strays: list[int]) -> bool:
+    """Push the first stray that shares its closed edge of the host with
+    another vertex, its first such mate, to the end of that edge away from
+    the mate (the far end on a tie).  False, and no push, when every stray
+    is alone on its edge."""
+    m = ix.host.n
     for k in strays:
-        for i in Q.edges_at(cur[k]):
-            a, b = Q.edge(i)
-            mate = next((m for m in range(len(cur)) if m != k and segment_contains(a, b, cur[m])), None)
-            if mate is not None:
-                rec.push(k, mate, _edge_push_target(a, b, cur[mate], cur[k]))
-                return True
+        e, t = ix.addr[k]
+        on_edge = ix.at[e], ix.at[(e + 1) % m], ix.inside[e]
+        mates = [j for occ in on_edge for j in occ[:2] if j != k]
+        if mates:
+            mate = min(mates)
+            me, mt = ix.addr[mate]
+            t_mate = mt if me == e else 1  # a mate at vertex e + 1 is at t = 1 on edge e
+            ix.push(rec, k, mate, (e + 1) % m if t_mate <= t else e)
+            return True
     return False
 
 
-def _sweep_to_vertices(rec: _PushRecorder, Q: Polygon) -> None:
-    """Inscribe the polygon in Q, then move every vertex to a vertex of Q.
+def _sweep_to_vertices(
+    rec: _PushRecorder, Q: Polygon, where: list[BoundaryPoint] | None = None
+) -> _Addresses:
+    """Inscribe the polygon in Q, then move every vertex to a vertex of Q;
+    the slots' addresses on Q come back.
 
     Strays (vertices not at a vertex of Q) sharing a closed edge with
     another vertex are pushed to its far endpoint, the first stray in slot
     order first; once every stray is stranded, a double point at some
     vertex of Q unstrands them two moves at a time.  Every push after the
-    inscription lands on a vertex of Q, so the polygon stays inscribed.
+    inscription lands on a vertex of Q, so the polygon stays inscribed and
+    each push moves one slot's address into the vertex lists.
     """
-    _inscribe_onto(rec, Q)
-    n = rec.current.n
-    qverts = list(Q.vertices)
-    budget = 3 * n  # hard stop against planner bugs
+    ix = _inscribe_onto(rec, Q, where)
+    budget = 3 * rec.current.n  # hard stop against planner bugs
     while budget > 0:
         budget -= 1
-        cur = rec.current.vertices
-        strays = [k for k in range(n) if cur[k] not in qverts]
+        strays = ix.strays()
         if not strays:
-            return
-        if _push_stray(rec, Q, strays):
+            if rec.current.vertices != tuple(Q.vertices[e] for e, _ in ix.addr):
+                raise InvariantError("the sweep's vertices are not at their addresses")
+            return ix
+        if _push_stray(rec, ix, strays):
             continue
         # Every stray is stranded: use a double point at a vertex of Q.
-        doubled = None
-        for q in qverts:
-            occ = [m for m in range(n) if cur[m] == q]
-            if len(occ) >= 2:
-                doubled = occ
-                break
+        doubled = next((occ[:2] for occ in ix.at if len(occ) >= 2), None)
         if doubled is None:
             raise PlannerError("stranded strays but no vertex double point")
-        u = strays[0]
-        a, b = Q.edge(Q.edges_at(cur[u])[0])
-        rec.push(doubled[0], doubled[1], a)
-        rec.push(u, doubled[0], b)
+        u, e = strays[0], ix.addr[strays[0]][0]
+        ix.push(rec, doubled[0], doubled[1], e)
+        ix.push(rec, u, doubled[0], (e + 1) % Q.n)
     raise PlannerError("vertex sweep exceeded its move budget")
 
 
-def _permutation_to(rec: _PushRecorder, target: Polygon) -> None:
-    """Move a polygon whose vertices all occupy points of the target onto
-    the target exactly, using double-point pushes and cycle chasing."""
-    n = target.n
-    tpoints = list(target.vertices)
+def _permutation_to(rec: _PushRecorder, ix: _Addresses, goal: list[int]) -> None:
+    """Move a polygon whose vertices all sit at vertices of the host of ix
+    onto the host vertices goal[k] exactly, using double-point pushes and
+    cycle chasing on vertex indices."""
+    n = len(goal)
+    pos = lambda k: ix.addr[k][0]
     # Phase 1: any incorrectly placed vertex sharing its point moves home.
     for _ in range(n + 1):
-        cur = rec.current.vertices
-        move = None
-        for k in range(n):
-            if cur[k] == tpoints[k]:
-                continue
-            for j in range(n):
-                if j != k and cur[j] == cur[k]:
-                    move = (k, j)
-                    break
-            if move:
-                break
+        move = next(((k, j) for k in range(n) if pos(k) != goal[k]
+                     for j in ix.at[pos(k)][:2] if j != k), None)
         if move is None:
             break
         k, j = move
-        rec.push(k, j, tpoints[k])
+        ix.push(rec, k, j, goal[k])
 
-    cur = rec.current.vertices
-    incorrect = [k for k in range(n) if cur[k] != tpoints[k]]
+    incorrect = [k for k in range(n) if pos(k) != goal[k]]
     if not incorrect:
         return
     # Each incorrect vertex now sits alone; the assignment graph on them is
     # a disjoint union of cycles (every point here is also a target point).
+    at_point: dict[int, list[int]] = {}
+    for j in incorrect:
+        at_point.setdefault(pos(j), []).append(j)
     succ: dict[int, int] = {}
     for k in incorrect:
-        nxts = [j for j in incorrect if cur[j] == tpoints[k]]
+        nxts = at_point.get(goal[k], [])
         if len(nxts) != 1:
             raise PlannerError("incorrect vertices do not decompose into cycles")
         succ[k] = nxts[0]
     cycles: list[list[int]] = []
     seen: set[int] = set()
-    for k in sorted(incorrect):
+    for k in incorrect:
         if k in seen:
             continue
         cyc = [k]
@@ -231,29 +260,23 @@ def _permutation_to(rec: _PushRecorder, target: Polygon) -> None:
             j = succ[j]
         cycles.append(cyc)
 
-    # Borrow a correctly placed vertex from a multiply occupied point.
-    borrow = None
-    order = {p: i for i, p in enumerate(tpoints)}
-    for q in sorted(set(cur), key=lambda p: order.get(p, n)):
-        occ = [m for m in range(n) if cur[m] == q]
-        if len(occ) >= 2:
-            borrow = occ[0]
-            break
-    if borrow is None:
+    # Borrow a correctly placed vertex from a multiply occupied point, the
+    # point whose last target slot comes first.
+    order = {v: i for i, v in enumerate(goal)}
+    doubled = [v for v in range(ix.host.n) if len(ix.at[v]) >= 2]
+    if not doubled:
         raise PlannerError("no double point available to borrow from")
-    home = cur[borrow]
+    borrow = ix.at[min(doubled, key=lambda v: order.get(v, n))][0]
+    home = pos(borrow)
+    mate = lambda: next(m for m in ix.at[pos(borrow)] if m != borrow)
     for cyc in cycles:
-        cur = rec.current.vertices
-        mate = next(m for m in range(n) if m != borrow and cur[m] == cur[borrow])
-        rec.push(borrow, mate, cur[cyc[0]])
+        ix.push(rec, borrow, mate(), pos(cyc[0]))
         pusher = borrow
         for k in cyc:
-            rec.push(k, pusher, tpoints[k])
+            ix.push(rec, k, pusher, goal[k])
             pusher = k
-    cur = rec.current.vertices
-    mate = next(m for m in range(n) if m != borrow and cur[m] == cur[borrow])
-    rec.push(borrow, mate, home)
-    if rec.current.vertices != target.vertices:
+    ix.push(rec, borrow, mate(), home)
+    if rec.current.vertices != tuple(ix.host.vertices[v] for v in goal):
         raise PlannerError("permutation stage missed the target")
 
 
@@ -263,15 +286,12 @@ def _plan_degenerate_nonconvex(P: Polygon, Pp: Polygon) -> MoveScript:
     Q = Polygon(hull)
     n = P.n
     rec = _PushRecorder(Pp)
-    _sweep_to_vertices(rec, Q)
-    ext = set(hull)
+    ix = _sweep_to_vertices(rec, Q)
+    ext = {v: i for i, v in enumerate(hull)}
     i0 = min(j for j in range(n) if P.vertices[j] in ext)
-    target = Polygon(tuple(
-        P.vertices[j] if P.vertices[j] in ext else P.vertices[i0] for j in range(n)
-    ))
-    _permutation_to(rec, target)
+    _permutation_to(rec, ix, [ext.get(v, ext[P.vertices[i0]]) for v in P.vertices])
     for j in range(n):
-        if target.vertices[j] != P.vertices[j]:
+        if P.vertices[j] not in ext:
             rec.push(j, i0, P.vertices[j])
     if rec.current != P:
         raise PlannerError("non-set-convex plan did not land on the start polygon")
@@ -293,24 +313,20 @@ def maximal_degenerate_extend(Q: Polygon, P: Polygon) -> Polygon:
         raise ValueError("witness must be contained in the outer polygon")
     if Q.n >= P.n:
         raise ValueError("witness must have fewer vertices than the outer polygon")
-    pverts, slots = P.vertices, range(P.n - 1)
     rec = _PushRecorder(Polygon(Q.vertices + Q.vertices[:1] * (P.n - 1 - Q.n)))
-    _inscribe_onto(rec, P)
+    ix = _inscribe_onto(rec, P)
     while True:
-        cur = rec.current.vertices
-        if _push_stray(rec, P, [k for k in slots if cur[k] not in pverts]):
+        if _push_stray(rec, ix, ix.strays()):
             continue
-        occupants = {v: [k for k in slots if cur[k] == v] for v in pverts}
-        doubled = next((occ for occ in occupants.values() if len(occ) >= 2), None)
+        doubled = next((occ for occ in ix.at if len(occ) >= 2), None)
         if doubled is None:
             break
-        free = next(v for v in pverts if not occupants[v])
-        rec.push(doubled[0], doubled[1], free)
+        free = next(v for v, occ in enumerate(ix.at) if not occ)
+        ix.push(rec, doubled[0], doubled[1], free)
     out = rec.current
     if not _is_maximal_degenerate(out, P):
         raise InvariantError(f"{out!r} is not maximal degenerate in {P!r}")
-    located = sorted(map(P.locate_boundary, out.vertices), key=lambda b: (b.edge, b.t))
-    result = Polygon(tuple(b.realize() for b in located))
+    result = Polygon(tuple(out.vertices[k] for k in sorted(range(out.n), key=ix.addr.__getitem__)))
     if not (result.is_convex_ccw and co_contains(P, result) and co_contains(result, Q)):
         raise InvariantError(f"{result!r} is not convex CCW between {Q!r} and {P!r}")
     return result
@@ -318,23 +334,20 @@ def maximal_degenerate_extend(Q: Polygon, P: Polygon) -> Polygon:
 
 def _is_maximal_degenerate(Q: Polygon, P: Polygon) -> bool:
     """Inscribed, and each vertex is a single occupant of a vertex of P or
-    stranded (alone on its closed edges)."""
+    stranded (alone on its closed edges).  Recomputed from the vertex
+    triples, independently of the address index that built Q."""
     if Q.n != P.n - 1:
         return False
-    edges = [P.edges_at(q) for q in Q.vertices]
-    if not all(edges):
-        return False
-    pverts = set(P.vertices)
-    for k, q in enumerate(Q.vertices):
-        others = [Q.vertices[m] for m in range(Q.n) if m != k]
-        if q in pverts:
-            if any(o == q for o in others):
-                return False
-        else:
-            for i in edges[k]:
-                a, b = P.edge(i)
-                if any(segment_contains(a, b, o) for o in others):
-                    return False
+    ps, fs, m = P.triples, Q.triples, P.n
+    on = [[_on_segment(ps[i], ps[(i + 1) % m], f) for f in fs] for i in range(m)]
+    pverts, count = set(ps), Counter(fs)
+    for k, f in enumerate(fs):
+        edges = [row for row in on if row[k]]
+        if not edges:
+            return False
+        lone = count[f] == 1 if f in pverts else all(sum(row) == 1 for row in edges)
+        if not lone:
+            return False
     return True
 
 
@@ -349,7 +362,7 @@ def _plan_degenerate_convex(P: Polygon, Pp: Polygon, witness: Polygon) -> MoveSc
 
     Qmd = maximal_degenerate_extend(witness, Pc)
     rec = _PushRecorder(Ppc)
-    _sweep_to_vertices(rec, Qmd)
+    ix = _sweep_to_vertices(rec, Qmd)
 
     # Occupy every vertex of P from the doubled (n-1)-gon, in simulation.
     q = Qmd.vertices
@@ -358,17 +371,13 @@ def _plan_degenerate_convex(P: Polygon, Pp: Polygon, witness: Polygon) -> MoveSc
     qset = set(q)
     p_free = next(v for v in Pc.vertices if v not in qset)
     sim.push(0, 1, p_free)
-    _sweep_to_vertices(sim, Pc)
-    F = sim.current
-    phi = [Pc.vertices.index(F.vertices[k]) for k in range(n)]
+    phi = [e for e, _ in _sweep_to_vertices(sim, Pc).addr]
     if sorted(phi) != list(range(n)):
         raise PlannerError("occupancy simulation is not a bijection")
     inv = [0] * n
     for k, j in enumerate(phi):
         inv[j] = k
-    bridge = Polygon(tuple(Qt.vertices[inv[j]] for j in range(n)))
-
-    _permutation_to(rec, bridge)
+    _permutation_to(rec, ix, [max(inv[j] - 1, 0) for j in range(n)])  # Qt's vertex inv[j] on Qmd
     for m in sim.pushes:
         rec.push(phi[m.mover], phi[m.pusher], m.landing)
     if rec.current != Pc:
@@ -506,10 +515,12 @@ def plan_threshold(P: Polygon, Pp: Polygon, i: int, cert) -> PlanOutcome:
         return finish_plan(MoveScript(P, tuple()), Pp, THRESHOLD_2N_MINUS_1)
     n, d = P.n, (1 if cert.direction == "ccw" else -1)
     rec = _PushRecorder(Pp)
+    where = [BoundaryPoint(P, i, 0)] * n  # every slot's address after the chain
     for k in range(1, n):
+        where[(i + k * d) % n] = cert.points[k]
         rec.push((i + k * d) % n, (i + (k - 1) * d) % n, cert.points[k].realize())
     rec.push(i, (i - d) % n, P.vertices[i])
-    _sweep_to_vertices(rec, P)
+    _sweep_to_vertices(rec, P, where)
     if rec.current != P:
         raise PlannerError("threshold plan did not land on the start polygon")
     return finish_plan(rec.to_script(), Pp, THRESHOLD_2N_MINUS_1)

@@ -125,10 +125,13 @@ class Polygon:
         """Address a point on the boundary as a canonical BoundaryPoint.
 
         The first closed edge that holds p, with p's parameter on it; a
-        vertex is reported on its own edge with t = 0.  Returns None when p
-        is not on the boundary.
+        vertex, the one point on two edges (i - 1 and i, or 0 and n - 1),
+        is reported on its own edge with t = 0.  Returns None when p is not
+        on the boundary.
         """
         e = self.edges_at(p)
+        if len(e) == 2:
+            return BoundaryPoint(self, e[1] if e[0] + 1 == e[1] else 0, 0)
         return BoundaryPoint(self, e[0], segment_param(*self.edge(e[0]), p)) if e else None
 
     def edges_at(self, p: Point) -> list[int]:

@@ -237,12 +237,13 @@ def test_witness_check_survives_optimize_flag():
     """With the predicate behind each explicit check patched to fail, every
     degenerate branch raises WitnessError; the BLC length bound, the
     maximal-degenerate invariants, both checks of a tangent step and the
-    edge push raise InvariantError; and the triangle plan raises
-    PlannerError where the segment planner reads its targets' parameters,
-    even under `python -O`, where assert statements vanish."""
+    vertex sweep's boundary addresses raise InvariantError; and the
+    triangle plan raises PlannerError where the segment planner reads its
+    targets' parameters, even under `python -O`, where assert statements
+    vanish."""
     child = textwrap.dedent("""
         from polyattain import degeneracy, planners, poncelet
-        from polyattain.polygon import BoundaryPoint, InvariantError, polygon
+        from polyattain.polygon import BoundaryPoint, InvariantError, Polygon, polygon
 
         assert not __debug__
         square = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -296,11 +297,14 @@ def test_witness_check_survives_optimize_flag():
         expect(lambda: poncelet.right_tangent(square, on_edge, BoundaryPoint(square, 0, "1/4")))
         poncelet._forward = forward
 
-        # a pair on one edge whose parameters cannot be read, and a triangle
-        # plan whose chord parameters cannot be read
+        # a sweep whose inscription reads every boundary address as vertex 0
+        locate = Polygon.locate_boundary
+        Polygon.locate_boundary = lambda self, p: BoundaryPoint(self, 0, 0)
+        expect(lambda: planners._sweep_to_vertices(planners._PushRecorder(corner), square))
+        Polygon.locate_boundary = locate
+
+        # a triangle plan whose chord parameters cannot be read
         planners.segment_param = lambda a, b, q: None
-        mates = polygon([("1/4", 0), ("1/2", 0), ("1/2", "1/2")]).vertices[:2]
-        expect(lambda: planners._edge_push_target(*square.edge(0), *mates))
         thin = polygon([("1/4", "1/4"), ("1/2", "1/2"), ("3/4", "3/4")])
         expect(lambda: planners._plan_triangle(polygon([(0, 0), (1, 0), (0, 1)]), thin))
     """)

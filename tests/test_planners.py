@@ -1,7 +1,10 @@
+import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from polyattain import planners
 from polyattain.attainability import ATTAINABLE_DEGENERATE, decide, threshold_test, vestibule_test
 from polyattain.degeneracy import is_degenerate
 from polyattain.gen import generate, random_convex_polygon
@@ -277,3 +280,105 @@ def test_row_update_product_matches_dense_factors(square, inner_square, corner_q
     assert {kind for kind, s in scripts if s.moves} == set(plans) | {"ccw", "cw"}
     for _, s in scripts:
         assert script_to_matrix(s) == dense_product(s)
+
+
+def _golden_cases():
+    """Seeded `gen` instances of all three modes at n 3..9; each degenerate
+    one also runs with its outer polygon reversed (set-convex, clockwise)
+    and with its dropped vertex moved onto a kept one (not set-convex)."""
+    for mode in ("degenerate", "scripted", "random"):
+        for n in range(3, 10):
+            for seed in range(4):
+                P, Pp, meta = generate(rng_for(f"golden/{mode}/{n}/{seed}"), n, mode)
+                yield P, Pp
+                if mode == "degenerate":
+                    kept = meta["witness_vertices"]
+                    drop = next(k for k in range(n) if k not in kept)
+                    yield Polygon(P.vertices[::-1]), Pp
+                    yield P.replace(drop, P.vertices[kept[seed % len(kept)]]), Pp
+
+
+def _digest_moves(h, script) -> None:
+    h.update(";".join(f"{m.mover},{m.target},{m.c}" for m in script.moves).encode() + b"\n")
+
+
+def test_plans_are_pinned_move_for_move():
+    """The planners' scripts on seeded instances, move for move: a digest of
+    the (mover, target, c) lists of every `decide` plan and of threshold
+    plans from both certificate directions.  The digest was recorded before
+    the sweeps and the permutation stage moved onto boundary addresses, so
+    a change of any push fails here even when the new script verifies."""
+    h, seen = hashlib.sha256(), Counter()
+    for P, Pp in _golden_cases():
+        v = decide(P, Pp, plan_moves=True)
+        h.update(v.status.encode())
+        if v.plan is not None:
+            seen[v.plan.bound_class, P.is_set_convex] += 1
+            _digest_moves(h, v.plan.script)
+    for P, pushed, found in _threshold_instances(rng_for("golden-threshold"), 1):
+        seen[found.cert.direction] += 1
+        _digest_moves(h, plan_threshold(P, pushed, found.vertex, found.cert).script)
+    assert seen[DEGENERATE_LT_5N, True] > 50 and seen[DEGENERATE_LT_5N, False] > 10
+    assert seen[THRESHOLD_2N_MINUS_1, True] and seen[VESTIBULE_2N, True]
+    assert seen["ccw"] and seen["cw"]
+    assert h.hexdigest() == "fbb589f4bfb05f70cecaa868acb0a2da303316e9e38fbec895c17cb8a3e8ed5b"
+
+
+def test_addresses_follow_every_push(monkeypatch):
+    """After each inscription and after every push of the sweeps, each
+    slot's boundary address realizes to its current vertex, and the vertex
+    and edge lists hold exactly the slots so addressed, in slot order."""
+    pushes = []
+
+    def check(ix, rec):
+        vs, m = rec.current.vertices, ix.host.n
+        assert [BoundaryPoint(ix.host, e, t).realize() for e, t in ix.addr] == list(vs)
+        assert ix.at == [[k for k, a in enumerate(ix.addr) if a == (v, 0)] for v in range(m)]
+        assert ix.inside == [[k for k, (e, t) in enumerate(ix.addr) if e == v and t]
+                             for v in range(m)]
+
+    inscribe, push = planners._inscribe_onto, planners._Addresses.push
+
+    def checked_inscribe(rec, Q, where=None):
+        ix = inscribe(rec, Q, where)
+        check(ix, rec)
+        return ix
+
+    def checked_push(ix, rec, k, pusher, v):
+        push(ix, rec, k, pusher, v)
+        check(ix, rec)
+        pushes.append(k)
+
+    monkeypatch.setattr(planners, "_inscribe_onto", checked_inscribe)
+    monkeypatch.setattr(planners._Addresses, "push", checked_push)
+    for P, Pp in _golden_cases():
+        if P.n >= 6:
+            decide(P, Pp, plan_moves=True)
+    for P, pushed, found in _threshold_instances(rng_for("address-threshold"), 1):
+        plan_threshold(P, pushed, found.vertex, found.cert)
+    assert len(pushes) > 1000
+
+
+def test_plan_point_comparisons_grow_at_most_quadratically(monkeypatch):
+    """Point equality tests made by plan_degenerate on three seeded
+    degenerate instances grow at most 4.5 times from n = 16 to n = 32.
+    Sweeps that scan every slot for strays, mates and double points after
+    each push grow about 8 times."""
+    calls = [0]
+    eq = Point.__eq__
+
+    def counted(a, b):
+        calls[0] += 1
+        return eq(a, b)
+
+    for seed in range(3):
+        counts = []
+        for n in (16, 32):
+            P, Pp, _ = generate(rng_for(f"point-eq/{seed}/{n}"), n, "degenerate")
+            witness = is_degenerate(P, Pp).witness
+            calls[0] = 0
+            with monkeypatch.context() as m:
+                m.setattr(Point, "__eq__", counted)
+                plan_degenerate(P, Pp, witness)
+            counts.append(calls[0])
+        assert counts[1] <= 4.5 * counts[0], counts
