@@ -3,17 +3,16 @@ decision for decreasing paths."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .degeneracy import is_degenerate
 from .geometry import Point
-from .moves import PushOut, relabel
-from .planners import PlanOutcome, finish_plan, plan_degenerate, plan_threshold, plan_vestibule
+from .moves import PushOut
+from .planners import PlanOutcome, plan_degenerate, plan_vestibule
 from .polygon import (
     BoundaryPoint,
-    InvariantError,
     Polygon,
-    canonicalize_ccw,
+    canonical_pair,
     in_arc,
     ray_polygon_exit,
 )
@@ -144,27 +143,24 @@ def decide(P: Polygon, Pp: Polygon, plan_moves: bool = False) -> Verdict:
     attainable if and only if it passes the vestibule search, except that a
     failed search with n = 3 is reported as unknown rather than negative.
     A Pp with another vertex count than P, or outside co(P), is a
-    ValueError, raised by `is_degenerate`.
+    ValueError, raised by `is_degenerate`.  The search runs on P's
+    `canonical_pair`; the certificate, the audit and the plan name P's slots.
     """
     dv = is_degenerate(P, Pp)
     if dv.degenerate:
         plan = plan_degenerate(P, Pp, dv.witness) if plan_moves else None
         return Verdict(ATTAINABLE_DEGENERATE, dv, plan)
 
-    canon = canonicalize_ccw(P)
-    if canon is None:
-        raise InvariantError("a non-degenerate instance has a set-convex outer polygon")
-    Pc, sigma = canon
-    Ppc = Pp if Pc is P else Polygon(tuple(Pp.vertices[s] for s in sigma))
+    Pc, sigma, Ppc = canonical_pair(P, Pp)
     found, audit = vestibule_test(Pc, Ppc)
+    audit = tuple(replace(r, vertex=sigma[r.vertex], pusher=None if r.pusher is None else sigma[r.pusher])
+                  for r in audit)
     if found is not None:
-        plan = None
-        if plan_moves:
-            push = found.pushout
-            pushed = Ppc if push is None else Ppc.replace(found.vertex, push.landing)
-            tplan = plan_threshold(Pc, pushed, found.vertex, found.cert)
-            plan = plan_vestibule(Pc, Ppc, push, tplan)
-            plan = finish_plan(relabel(plan.script, P, sigma), Pp, plan.bound_class)
+        plan = plan_vestibule(P, Pp, found) if plan_moves else None
+        push = found.pushout
+        if push is not None:
+            push = PushOut(sigma[push.mover], sigma[push.pusher], push.landing)
+        found = replace(found, pushout=push, vertex=sigma[found.vertex])
         return Verdict(ATTAINABLE_VESTIBULE, found, plan, audit)
     if P.n == 3:
         return Verdict(UNKNOWN_N3, None, None, audit)

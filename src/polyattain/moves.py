@@ -90,31 +90,24 @@ def invert_pushout(Q: Polygon, m: PushOut) -> PullIn:
 class VerifyReport:
     ok: bool
     failure: str | None
-    states: tuple[Polygon, ...]
 
 
 def verify_script(s: MoveScript, expected_end: Polygon) -> VerifyReport:
     """Replay a script, checking indices and parameter bounds, and compare
     the final polygon with the expected end, vertex for vertex."""
     cur = s.start
-    states = [cur]
     for k, m in enumerate(s.moves):
         if not 0 <= m.mover < cur.n or not 0 <= m.target < cur.n or m.mover == m.target:
-            return VerifyReport(False, f"bad indices at move {k + 1}", tuple(states))
+            return VerifyReport(False, f"bad indices at move {k + 1}")
         if not 0 <= m.c <= 1:
-            return VerifyReport(False, f"parameter out of range at move {k + 1}", tuple(states))
+            return VerifyReport(False, f"parameter out of range at move {k + 1}")
         cur = apply_pullin(cur, m)
-        states.append(cur)
     if cur.n != expected_end.n:
-        return VerifyReport(False, "vertex count mismatch", tuple(states))
+        return VerifyReport(False, "vertex count mismatch")
     for i, (got, want) in enumerate(zip(cur.vertices, expected_end.vertices)):
         if got != want:
-            return VerifyReport(
-                False,
-                f"final mismatch at vertex {i + 1}: got {got!r}, want {want!r}",
-                tuple(states),
-            )
-    return VerifyReport(True, None, tuple(states))
+            return VerifyReport(False, f"final mismatch at vertex {i + 1}: got {got!r}, want {want!r}")
+    return VerifyReport(True, None)
 
 
 def replay(s: MoveScript) -> Polygon:

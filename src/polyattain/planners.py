@@ -2,11 +2,12 @@
 
 Plans are built as push-out sequences from the target polygon back up to
 the start polygon (the constructions are naturally stated that way), then
-reversed into pull-in scripts.  Every emitted script is verified against
-the requested target and its length is checked against the declared bound;
-a violation raises PlannerError instead of shipping a bad plan.  The
-maximal degenerate polygon that the degenerate plan passes through is
-built here too, from the same push-outs.
+reversed into pull-in scripts; a vestibule plan's neighbor push-out is the
+first push before its threshold chain.  Every emitted script is replayed
+once, in the caller's slots, against the requested target, and its length
+is checked against the declared bound; a violation raises PlannerError
+instead of shipping a bad plan.  The maximal degenerate polygon that the
+degenerate plan passes through is built here too, from the same push-outs.
 
 The sweeps work on boundary addresses, not on point comparisons.  The
 inscription gives each slot its address (edge, t) on the convex host: the
@@ -40,7 +41,7 @@ from .polygon import (
     BoundaryPoint,
     InvariantError,
     Polygon,
-    canonicalize_ccw,
+    canonical_pair,
     co_contains,
     ray_polygon_exit,
 )
@@ -64,21 +65,17 @@ class PlannerError(Exception):
 class PlanOutcome:
     script: MoveScript
     bound_class: str
-    intermediates: tuple[Polygon, ...]
 
 
-def finish_plan(script: MoveScript, target: Polygon, bound_class: str) -> PlanOutcome:
-    """The outcome of a script once it reaches target within its bound;
-    PlannerError otherwise."""
+def _finish_plan(script: MoveScript, target: Polygon, bound_class: str) -> PlanOutcome:
+    """The outcome of a script once its one replay reaches target within
+    its bound; PlannerError otherwise."""
     rep = verify_script(script, target)
     if not rep.ok:
         raise PlannerError(f"planned script failed verification: {rep.failure}")
-    n = target.n
-    if not _BOUND[bound_class](n, len(script.moves)):
-        raise PlannerError(
-            f"bound {bound_class} violated: {len(script.moves)} moves for n={n}"
-        )
-    return PlanOutcome(script, bound_class, rep.states)
+    if not _BOUND[bound_class](target.n, len(script.moves)):
+        raise PlannerError(f"bound {bound_class} violated: {len(script.moves)} moves for n={target.n}")
+    return PlanOutcome(script, bound_class)
 
 
 class _PushRecorder:
@@ -86,26 +83,21 @@ class _PushRecorder:
     pull-in script from the final state."""
 
     def __init__(self, start: Polygon):
-        self.states = [start]
+        self.current = start
         self.pushes: list[PushOut] = []
-
-    @property
-    def current(self) -> Polygon:
-        return self.states[-1]
+        self.pulls: list[PullIn] = []  # the inverse of each push, on its pre-state
 
     def push(self, mover: int, pusher: int, landing: Point) -> None:
         cur = self.current
         if landing == cur.vertices[mover]:
             return  # identity push: skip to keep scripts short
         m = PushOut(mover, pusher, landing)
-        self.states.append(apply_pushout(cur, m))
+        self.current = apply_pushout(cur, m)
         self.pushes.append(m)
+        self.pulls.append(invert_pushout(cur, m))
 
     def to_script(self) -> MoveScript:
-        moves = []
-        for k in range(len(self.pushes) - 1, -1, -1):
-            moves.append(invert_pushout(self.states[k], self.pushes[k]))
-        return MoveScript(self.current, tuple(moves))
+        return MoveScript(self.current, tuple(reversed(self.pulls)))
 
 
 def _push_landing(P: Polygon, pusher: Point, mover: Point) -> BoundaryPoint:
@@ -353,11 +345,7 @@ def _is_maximal_degenerate(Q: Polygon, P: Polygon) -> bool:
 
 def _plan_degenerate_convex(P: Polygon, Pp: Polygon, witness: Polygon) -> MoveScript:
     """Set-convex outer polygon, n >= 4: the maximal-degenerate route."""
-    canon = canonicalize_ccw(P)
-    if canon is None:
-        raise InvariantError("outer polygon is not set-convex")
-    Pc, sigma = canon
-    Ppc = Polygon(tuple(Pp.vertices[s] for s in sigma))
+    Pc, sigma, Ppc = canonical_pair(P, Pp)
     n = Pc.n
 
     Qmd = maximal_degenerate_extend(witness, Pc)
@@ -499,22 +487,19 @@ def plan_degenerate(P: Polygon, Pp: Polygon, witness: Polygon | None) -> PlanOut
         if witness is None:
             raise ValueError("set-convex case needs a certified witness")
         script = _plan_degenerate_convex(P, Pp, witness)
-    return finish_plan(script, Pp, DEGENERATE_LT_5N)
+    return _finish_plan(script, Pp, DEGENERATE_LT_5N)
 
 
-def plan_threshold(P: Polygon, Pp: Polygon, i: int, cert) -> PlanOutcome:
-    """At most 2n-1 pull-ins onto a threshold member, from its certificate.
-
-    P must be convex CCW and slot-aligned with Pp; cert is the accepted
-    BlcResult.  One push-out chain serves both directions, with d = +1 for
-    a counterclockwise certificate and -1 for a clockwise one: vertices
-    i+d, i+2d, ... go out onto the broken-line points, vertex i goes out to
-    its own corner pushed by vertex i-d, and the vertex sweep finishes.
-    """
-    if Pp == P:
-        return finish_plan(MoveScript(P, tuple()), Pp, THRESHOLD_2N_MINUS_1)
+def _threshold_chain(rec: _PushRecorder, P: Polygon, i: int, cert) -> None:
+    """Push rec's polygon, a threshold member slot-aligned with the convex
+    CCW P, out onto P from its accepted BlcResult cert from vertex i.  One
+    chain serves both directions, with d = +1 for a counterclockwise cert
+    and -1 for a clockwise one: vertices i+d, i+2d, ... go out onto the
+    broken-line points, vertex i goes out to its own corner pushed by
+    vertex i-d, and the vertex sweep finishes."""
+    if rec.current == P:
+        return
     n, d = P.n, (1 if cert.direction == "ccw" else -1)
-    rec = _PushRecorder(Pp)
     where = [BoundaryPoint(P, i, 0)] * n  # every slot's address after the chain
     for k in range(1, n):
         where[(i + k * d) % n] = cert.points[k]
@@ -523,16 +508,26 @@ def plan_threshold(P: Polygon, Pp: Polygon, i: int, cert) -> PlanOutcome:
     _sweep_to_vertices(rec, P, where)
     if rec.current != P:
         raise PlannerError("threshold plan did not land on the start polygon")
-    return finish_plan(rec.to_script(), Pp, THRESHOLD_2N_MINUS_1)
 
 
-def plan_vestibule(
-    P: Polygon, Pp: Polygon, pushout: PushOut | None, threshold_plan: PlanOutcome
-) -> PlanOutcome:
-    """Threshold plan plus the single inverse pull-in of the neighbor
-    push-out; at most 2n moves total."""
-    if pushout is None:
-        return threshold_plan
-    tail = invert_pushout(Pp, pushout)
-    script = MoveScript(P, threshold_plan.script.moves + (tail,))
-    return finish_plan(script, Pp, VESTIBULE_2N)
+def plan_threshold(P: Polygon, Pp: Polygon, i: int, cert) -> PlanOutcome:
+    """At most 2n-1 pull-ins onto Pp, a threshold member slot-aligned with
+    the convex CCW P, from its accepted BlcResult cert from vertex i."""
+    rec = _PushRecorder(Pp)
+    _threshold_chain(rec, P, i, cert)
+    return _finish_plan(rec.to_script(), Pp, THRESHOLD_2N_MINUS_1)
+
+
+def plan_vestibule(P: Polygon, Pp: Polygon, found) -> PlanOutcome:
+    """At most 2n pull-ins onto Pp, in P's own slots, from the
+    VestibuleCertificate found on P's `canonical_pair`: the neighbor
+    push-out, if any, is the first push, so its inverse is the last move,
+    and the threshold chain follows."""
+    Pc, sigma, Ppc = canonical_pair(P, Pp)
+    rec = _PushRecorder(Ppc)
+    push = found.pushout
+    if push is not None:
+        rec.push(push.mover, push.pusher, push.landing)
+    _threshold_chain(rec, Pc, found.vertex, found.cert)
+    bound = THRESHOLD_2N_MINUS_1 if push is None else VESTIBULE_2N
+    return _finish_plan(relabel(rec.to_script(), P, sigma), Pp, bound)

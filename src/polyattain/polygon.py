@@ -168,8 +168,22 @@ def canonicalize_ccw(P: Polygon) -> tuple[Polygon, tuple[int, ...]] | None:
     """
     if not P.is_set_convex:
         return None
-    sigma = tuple(P.vertices.index(h) for h in P.hull)
+    if P.is_convex_ccw:  # the hull is P rotated to its lexicographic minimum
+        sigma = tuple((P._lexmin + k) % P.n for k in range(P.n))
+    else:
+        slot = {v: i for i, v in enumerate(P.vertices)}  # exact: the vertices are distinct
+        sigma = tuple(slot[h] for h in P.hull)
     return (P if P.hull == P.vertices else Polygon(P.hull)), sigma
+
+
+def canonical_pair(P: Polygon, Pp: Polygon) -> tuple[Polygon, tuple[int, ...], Polygon]:
+    """(Pc, sigma) of `canonicalize_ccw(P)`, and Pp in Pc's slots;
+    InvariantError when P is not set-convex."""
+    canon = canonicalize_ccw(P)
+    if canon is None:
+        raise InvariantError("outer polygon is not set-convex")
+    Pc, sigma = canon
+    return Pc, sigma, Pp if Pc is P else Polygon(tuple(Pp.vertices[s] for s in sigma))
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from polyattain.attainability import (
     vestibule_test,
 )
 from polyattain.gen import MODES, generate, random_convex_polygon, random_script
-from polyattain.geometry import Point, pt
-from polyattain.moves import replay, verify_script
+from polyattain.geometry import Point, pt, segment_contains
+from polyattain.moves import apply_pushout, replay, verify_script
 from polyattain.polygon import Polygon, co_contains, polygon
 from polyattain.poncelet import blc
 
@@ -110,7 +110,8 @@ class TestDecide:
         """A set-convex target listed clockwise, or with two vertices
         swapped, is non-degenerate, so it reaches the push-out search, and
         every pushed polygon is out of order too: each of the 2n records
-        says so and holds no run."""
+        says so and holds no run.  The search runs in P's canonical order,
+        which starts at P's vertex 1, and the records name P's own slots."""
         P = polygon([(0, 10), (-9, 3), (-6, -8), (6, -8), (9, 3)])
         vs = shrink_rotate(P, 99, 100).vertices
         Pp = Polygon(vs[::-1] if order == "clockwise" else (vs[1], vs[0]) + vs[2:])
@@ -118,7 +119,7 @@ class TestDecide:
         v = decide(P, Pp)
         assert v.status == UNATTAINABLE and v.certificate is None
         assert [(r.vertex, r.pusher) for r in v.audit] == [
-            (i, (i + d) % 5) for i in range(5) for d in (-1, 1)
+            ((i + 1) % 5, (i + 1 + d) % 5) for i in range(5) for d in (-1, 1)
         ]
         for r in v.audit:
             assert r.why == NOT_CONVEX and r.failed_runs == ()
@@ -213,6 +214,36 @@ def test_rejections_have_no_reachable_counterexample(square):
         s = random_script(rng, square, rng.randint(1, 6))
         end = replay(s)
         assert not (co_contains(end, Pp) and end == Pp)
+
+
+REINDEX = {
+    "as-is": lambda vs: vs,
+    "rotated": lambda vs: vs[2:] + vs[:2],
+    "reversed": lambda vs: vs[::-1],
+    "shuffled": lambda vs: (vs[1], vs[3], vs[0], vs[2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REINDEX))
+def test_certificates_and_audits_name_the_input_slots(name, square, inner_square):
+    """The search runs on P's canonical order, but the certificate and the
+    audit of a re-indexed square name its own slots: the push-out applies
+    to the input's target and lands the certified vertex on P, and every
+    rejected vertex lies on [pusher, landing]."""
+    re = REINDEX[name]
+    P, Pp = Polygon(re(square.vertices)), Polygon(re(inner_square.vertices))
+    v = decide(P, Pp)
+    cert = v.certificate
+    assert v.status == ATTAINABLE_VESTIBULE and cert.vertex == cert.pushout.mover
+    pushed = apply_pushout(Pp, cert.pushout)
+    assert pushed.vertices[cert.vertex] == pt("1/4", 0)
+    assert square.locate_boundary(pushed.vertices[cert.vertex]) is not None  # P's boundary
+    shrunk = Polygon(re(shrink_rotate(square, 99, 100, rot=1).vertices))
+    v = decide(P, shrunk)
+    assert v.status == UNATTAINABLE and len(v.audit) == 2 * P.n
+    for r in v.audit:
+        assert segment_contains(shrunk.vertices[r.pusher], r.landing, shrunk.vertices[r.vertex])
+        assert square.locate_boundary(r.landing) is not None
 
 
 SYMMETRIES = {

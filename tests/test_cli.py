@@ -26,6 +26,8 @@ SQ = {
 
 
 CORNER = dict(SQ, Pprime=[["1/4", "1/4"], ["1/2", "1/4"], ["1/2", "1/2"], ["1/4", "1/2"]])
+# SQ with both polygons listed from their third vertex.
+SQ_ROTATED = {key: vs[2:] + vs[:2] for key, vs in SQ.items()}
 # Every vertex interior: Unattainable, all 2n push-outs rejected.
 SHRUNK = dict(SQ, Pprime=[
     ["199/200", "1/200"], ["199/200", "199/200"], ["1/200", "199/200"], ["1/200", "1/200"],
@@ -144,7 +146,7 @@ def test_decide_reports_failed_checks_without_traceback(sq_path, monkeypatch, ca
         def fail(*args, err=err):
             raise err("check failed")
 
-        monkeypatch.setattr(attainability, "plan_threshold", fail)
+        monkeypatch.setattr(attainability, "plan_vestibule", fail)
         assert run_cli(["decide", sq_path, "--plan", "--json"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: check failed\n"
@@ -227,6 +229,12 @@ WITNESS = "[[0, 0], [1, '1/2'], [0, '1/2']]"  # of CORNER
         "  push-out: vertex 1 by 4 to ['1/4', 0]",
         "plan (Vestibule2n, 8 moves):",
     ]),
+    (["decide", "{inst}", "--plan"], SQ_ROTATED, [
+        "verdict: AttainableVestibule",
+        "  threshold vertex: 3 (cw BLC)",
+        "  push-out: vertex 3 by 2 to ['1/4', 0]",
+        "plan (Vestibule2n, 8 moves):",
+    ]),
     (["decide", "{inst}", "--plan"], CORNER, [
         "verdict: AttainableDegenerate",
         "  degeneracy reason: BlcEarlyStop",
@@ -236,11 +244,12 @@ WITNESS = "[[0, 0], [1, '1/2'], [0, '1/2']]"  # of CORNER
     (["decide", "{inst}", "--plan"], SHRUNK, ["verdict: Unattainable", "  tested push-outs: 8 (all rejected)"]),
     (["degeneracy", "{inst}"], CORNER, ["degenerate: True (BlcEarlyStop)", f"witness: {WITNESS}"]),
     (["degeneracy", "{inst}"], SQ, ["degenerate: False (NoGoodTestPoint)"]),
-], ids=["decide-vestibule", "decide-degenerate", "decide-unattainable", "degeneracy-witness", "degeneracy-none"])
+], ids=["decide-vestibule", "decide-vestibule-rotated", "decide-degenerate", "decide-unattainable", "degeneracy-witness", "degeneracy-none"])
 def test_text_reports(args, instance, head, tmp_path, capsys):
     """Without --json, decide prints its verdict, its certificate and its
     plan, one pull-in a line as in the JSON report, and ends with its time;
-    degeneracy prints its verdict and any witness."""
+    degeneracy prints its verdict and any witness.  Vertices are the
+    input's, also when its polygons are not listed in canonical order."""
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(instance))
     args = [a.format(inst=inst) for a in args]

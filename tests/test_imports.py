@@ -29,6 +29,8 @@ KEPT = {
     "criterion 8 and tests/conftest.py check script_to_matrix against",
     "moves.mat_mul": "perfbench/tracer.py wraps it, and acceptance criterion 8 and "
     "tests/conftest.py multiply the dense factors with it",
+    "planners.plan_threshold": "tests pin threshold plans from both certificate directions, and "
+    "perfbench/tracer.py wraps it",
     "polygon.polygon": "builds a polygon from coordinates for perfbench/ and the tests",
     "poncelet.gamma_sets": "acceptance criterion 1 and tests/test_poncelet.py test the juncture sets",
 }

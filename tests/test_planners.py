@@ -1,15 +1,31 @@
 import hashlib
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from polyattain import planners
-from polyattain.attainability import ATTAINABLE_DEGENERATE, decide, threshold_test, vestibule_test
+from polyattain.attainability import (
+    ATTAINABLE_DEGENERATE,
+    ATTAINABLE_VESTIBULE,
+    decide,
+    threshold_test,
+    vestibule_test,
+)
 from polyattain.degeneracy import is_degenerate
 from polyattain.gen import generate, random_convex_polygon
 from polyattain.geometry import Point, pt
-from polyattain.moves import PullIn, PushOut, script_to_matrix, verify_script
+from polyattain.moves import (
+    MoveScript,
+    PullIn,
+    PushOut,
+    apply_pullin,
+    relabel,
+    replay,
+    script_to_matrix,
+    verify_script,
+)
 from polyattain.planners import (
     DEGENERATE_LT_5N,
     THRESHOLD_2N_MINUS_1,
@@ -20,7 +36,7 @@ from polyattain.planners import (
     plan_threshold,
     plan_vestibule,
 )
-from polyattain.polygon import BoundaryPoint, Polygon, co_contains, polygon
+from polyattain.polygon import BoundaryPoint, Polygon, canonicalize_ccw, co_contains, polygon
 
 from conftest import dense_product, rng_for
 
@@ -92,11 +108,10 @@ def test_threshold_needs_boundary_vertex(square, inner_square):
         threshold_test(square, inner_square, 0)
 
 
-def test_vestibule_plan_composition(square, inner_square, pushed_square):
+def test_vestibule_plan_composition(square, inner_square):
     found, _ = vestibule_test(square, inner_square)
     assert found is not None and found.pushout == PushOut(0, 3, pt("1/4", 0))
-    tplan = plan_threshold(square, pushed_square, 0, found.cert)
-    out = plan_vestibule(square, inner_square, found.pushout, tplan)
+    out = plan_vestibule(square, inner_square, found)
     assert out.bound_class == VESTIBULE_2N
     assert len(out.script.moves) <= 8
     assert verify_script(out.script, inner_square).ok
@@ -125,6 +140,14 @@ def test_planned_instances_verify_with_bounds():
     assert stats.get(DEGENERATE_LT_5N, 0) > 20
 
 
+def _replay_states(script) -> list[Polygon]:
+    """Every polygon along a script's replay, its start first."""
+    states = [script.start]
+    for m in script.moves:
+        states.append(apply_pullin(states[-1], m))
+    return states
+
+
 def test_monotone_trace():
     """Consecutive hulls along every plan replay are nested."""
     rng = rng_for("trace")
@@ -134,7 +157,7 @@ def test_monotone_trace():
         v = decide(P, Pp, plan_moves=True)
         if v.plan is None:
             continue
-        states = v.plan.intermediates
+        states = _replay_states(v.plan.script)
         for a, b in zip(states, states[1:]):
             assert co_contains(a, b)
 
@@ -151,7 +174,7 @@ def test_orientation_persists_in_nondegenerate_traces():
         if v.plan is None or v.plan.bound_class == DEGENERATE_LT_5N:
             continue
         seen += 1
-        for state in v.plan.intermediates:
+        for state in _replay_states(v.plan.script):
             if state.is_set_convex:
                 assert state.is_convex_ccw
     assert seen > 5
@@ -213,6 +236,40 @@ def test_triangle_plans_collinear_targets_by_construction(case, orientation):
     assert verify_script(v.plan.script, Pp).ok
 
 
+SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
+INNER_SQUARE = [("1/4", "1/4"), ("3/4", "1/4"), ("3/4", "3/4"), ("1/4", "3/4")]
+CORNER_QUAD = [("1/4", "1/4"), ("1/2", "1/4"), ("1/2", "1/2"), ("1/4", "1/2")]
+ROUTES = {
+    "degenerate-convex": (SQUARE, CORNER_QUAD, DEGENERATE_LT_5N),
+    "non-set-convex": ([(0, 0), (1, 0), (2, 0), (0, 1)], CORNER_QUAD, DEGENERATE_LT_5N),
+    "segment": (LINE, [(2, 0), ("3/2", 0), ("3/2", 0), (1, 0)], DEGENERATE_LT_5N),
+    "triangle": (TRIANGLE, COLLINEAR_TARGETS["interior-chord"], DEGENERATE_LT_5N),
+    "threshold": (SQUARE, [("1/4", 0)] + INNER_SQUARE[1:], THRESHOLD_2N_MINUS_1),
+    "vestibule": (SQUARE, INNER_SQUARE, VESTIBULE_2N),
+    "vestibule-rotated": (SQUARE[2:] + SQUARE[:2], INNER_SQUARE[2:] + INNER_SQUARE[:2], VESTIBULE_2N),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_each_plan_is_replayed_once(route, monkeypatch):
+    """Every plan `decide` returns is checked by exactly one replay, on
+    each planner route."""
+    outer, inner, bound_class = ROUTES[route]
+    P, Pp = polygon(outer), polygon(inner)
+    replays = []
+
+    def counted(script, target):
+        replays.append(script)
+        return verify_script(script, target)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polyattain") and hasattr(module, "verify_script"):
+            monkeypatch.setattr(module, "verify_script", counted)
+    v = decide(P, Pp, plan_moves=True)
+    assert v.plan.bound_class == bound_class
+    assert replays == [v.plan.script]
+
+
 def _mirror(Q: Polygon) -> Polygon:
     """Q reflected across the x-axis with its vertex order reversed, so a
     convex CCW polygon stays convex CCW."""
@@ -261,6 +318,47 @@ def test_clockwise_threshold_plans():
         assert verify_script(out.script, pushed).ok
         assert len(out.script.moves) <= 2 * P.n - 1
     assert cw >= 40
+
+
+def _scripted_vestibule_instances(rng, count: int):
+    """(P, Pp) for the `scripted` instances among count draws (n 4..7)
+    that pass the vestibule search, each followed by its copy with every
+    vertex pulled a sixteenth toward the vertex two slots on when that copy
+    passes too.  A pull-in endpoint that is not degenerate is a vestibule
+    instance, and the pulls leave a vertex on the boundary only when they
+    run along an edge of P, so most pulled copies need a push-out."""
+    for _ in range(count):
+        n = rng.randint(4, 7)
+        P, Pp, _ = generate(rng, n, "scripted")
+        if decide(P, Pp).status != ATTAINABLE_VESTIBULE:
+            continue
+        yield P, Pp
+        pulled = replay(MoveScript(Pp, tuple(PullIn(k, (k + 2) % n, Fraction(1, 16)) for k in range(n))))
+        if decide(P, pulled).status == ATTAINABLE_VESTIBULE:
+            yield P, pulled
+
+
+def test_vestibule_plans_on_reindexed_inputs():
+    """A vestibule plan on a rotated, reversed or shuffled copy of an
+    instance verifies against the copy's target, keeps its bound class and
+    is the plan of the canonical instance relabelled move for move."""
+    rng = rng_for("reindexed-vestibule")
+    seen = Counter()
+    for P, Pp in _scripted_vestibule_instances(rng, 400):
+        Pc, sigma = canonicalize_ccw(P)
+        base = decide(Pc, Polygon(tuple(Pp.vertices[s] for s in sigma)), plan_moves=True).plan
+        n = P.n
+        shuffled = list(range(n))
+        rng.shuffle(shuffled)
+        r = rng.randrange(1, n)
+        for perm in (tuple(range(r, n)) + tuple(range(r)), tuple(range(n))[::-1], tuple(shuffled)):
+            Q, Qp = (Polygon(tuple(A.vertices[k] for k in perm)) for A in (P, Pp))
+            plan = decide(Q, Qp, plan_moves=True).plan
+            assert plan.bound_class == base.bound_class
+            assert verify_script(plan.script, Qp).ok
+            assert plan.script == relabel(base.script, Q, canonicalize_ccw(Q)[1])
+            seen[plan.bound_class] += Q != Pc
+    assert seen[THRESHOLD_2N_MINUS_1] >= 60 and seen[VESTIBULE_2N] >= 60
 
 
 def test_row_update_product_matches_dense_factors(square, inner_square, corner_quad):
